@@ -23,11 +23,10 @@
 
 use crate::{build_platform, PlatformKind};
 use hitactix::{kernel::layout, GuestStats, Workload};
-use hosted_vmm::HostedConfig;
 use hx_fault::{FaultKind, FaultPlan};
 use hx_machine::{Machine, MachineConfig, Platform};
 use hx_obs::{Align, ExitCause, Report};
-use lvmm::{LvmmConfig, LvmmPlatform, ReplayDriver, UartLink};
+use lvmm::{LvmmPlatform, ReplayDriver, UartLink};
 use rdbg::{DbgError, Debugger};
 
 /// Campaign shape: how long to run, how often to inject.
@@ -158,8 +157,8 @@ impl SurvivalMatrix {
 pub fn wild_limit_for(kind: PlatformKind, ram_size: u32) -> u32 {
     match kind {
         PlatformKind::RawHw => ram_size,
-        PlatformKind::Lvmm => ram_size - LvmmConfig::default().monitor_mem,
-        PlatformKind::Hosted => ram_size - HostedConfig::default().host_mem,
+        PlatformKind::Lvmm => ram_size - lvmm::MONITOR_MEM,
+        PlatformKind::Hosted => ram_size - hosted_vmm::HOST_MEM,
     }
 }
 

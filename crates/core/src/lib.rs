@@ -10,7 +10,7 @@
 //!   Because the stub and its state are unreachable by the guest, debugging
 //!   keeps working no matter how badly the guest misbehaves.
 //! * **Partial hardware emulation** ([`chipset`] and the emulation paths in
-//!   [`platform`]): only the
+//!   [`monitor`]): only the
 //!   interrupt controller, the timer and the CPU resources (status word,
 //!   trap vector, page tables) are virtualized. The guest kernel is
 //!   **deprivileged to user mode** (ring compression); its privileged
@@ -59,13 +59,15 @@
 
 pub mod chipset;
 pub mod costs;
+pub mod monitor;
 pub mod platform;
 pub mod replay;
 pub mod shadow;
 pub mod stub;
 pub mod vcpu;
 
-pub use platform::{LvmmConfig, LvmmPlatform, LvmmStats, UartLink};
+pub use monitor::{Costs, MonitorCore, MonitorStats, Seams};
+pub use platform::{Lightweight, LvmmPlatform, UartLink, MONITOR_MEM};
 pub use replay::ReplayDriver;
 pub use shadow::ShadowPager;
 pub use stub::{Stub, Watchpoint};

@@ -1,98 +1,61 @@
 //! `LvmmPlatform`: the guest OS running deprivileged under the lightweight
-//! monitor.
+//! monitor — the shared [`MonitorCore`] plus the [`Lightweight`] seams.
 //!
-//! The monitor intercepts every trap and interrupt at the machine boundary
-//! ([`hx_machine::MachineStep`]), and:
+//! The core ([`crate::monitor`]) emulates the guest kernel's privileged
+//! instructions against the virtual CPU, fills shadow page tables from the
+//! *guest's* page tables, emulates the interrupt controller and timer and
+//! injects virtual interrupts. This module adds what is lightweight:
 //!
-//! * emulates the guest kernel's privileged instructions against the
-//!   virtual CPU ([`crate::VCpu`]);
-//! * resolves shadow page faults by walking the *guest's* page tables and
-//!   filling the active shadow table ([`crate::ShadowPager`]);
-//! * emulates guest accesses to the interrupt controller and timer
-//!   ([`crate::chipset::VChipset`]) while passing the disk controller and
-//!   NIC straight through;
-//! * reflects real device interrupts into the virtual PIC and injects them
-//!   when the guest's virtual interrupt window opens;
-//! * runs the debug stub ([`crate::Stub`]) whenever UART traffic arrives —
+//! * the device policy: the disk controller and NIC are passed straight
+//!   through, and their real interrupts are latched in the virtual PIC;
+//! * the debug stub ([`crate::Stub`]), run whenever UART traffic arrives —
 //!   including while the guest streams I/O at full rate, and including when
-//!   the guest has destroyed its own memory.
+//!   the guest has destroyed its own memory — with its breakpoints, single
+//!   steps, watchpoints and stops on unhandled faults or livelock;
+//! * the time-travel flight recorder.
 
 use crate::chipset::VChipset;
 use crate::costs;
-use crate::shadow::{classify, guest_walk, GuestWalkErr, PageClass, ShadowPager, ShadowStats};
+use crate::monitor::{Costs, MonitorCore, MonitorStats, RunState, Seams};
+use crate::shadow::ShadowPager;
 use crate::stub::{err, StepIntent, Stub, StubStats, Watchpoint};
 use crate::vcpu::VCpu;
 use hx_cpu::csr::{Csr, Status};
-use hx_cpu::isa::{Instr, LoadKind, StoreKind, SysOp, EBREAK_WORD};
-use hx_cpu::mmu::{pte, Access, PAGE_MASK};
+use hx_cpu::isa::{Instr, LoadKind, StoreKind, EBREAK_WORD};
+use hx_cpu::mmu::{pte, Access};
 use hx_cpu::trap::{Cause, Trap};
 use hx_cpu::{MemSize, Mode};
 use hx_machine::engine::{ExitPolicy, FlightRecorder, ProgressGuard};
 use hx_machine::platform::PlatformStep;
-use hx_machine::{map, smp, Machine, Platform, TimeBucket, TimeStats};
+use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
 use hx_obs::journal::{fnv1a, FNV_OFFSET};
-use hx_obs::{EventKind, ExitCause, HostPhase, JournalInput, ReplayCursor, StateDigest};
+use hx_obs::{ExitCause, HostPhase, JournalInput, ReplayCursor, StateDigest};
 use hx_query::{Expr, SliceCtx};
 use rdbg::msg::{Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason};
 use rdbg::wire::{self, WireEvent};
 
-/// Monitor configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LvmmConfig {
-    /// Bytes of RAM reserved at the top of memory for the monitor (shadow
-    /// tables and headroom).
-    pub monitor_mem: u32,
-    /// Stop in the debugger when the guest faults without having installed
-    /// a trap vector (instead of spinning at address zero).
-    pub debug_on_unhandled_fault: bool,
+/// Bytes of RAM the lightweight monitor reserves at the top of memory for
+/// itself (shadow tables and headroom).
+pub const MONITOR_MEM: u32 = 2 * 1024 * 1024;
+
+/// The lightweight monitor's platform part: the debug stub, the flight
+/// recorder (boxed so a platform without it pays one pointer) and the boot
+/// entry a `reset` returns to. Its device policy is the paper's: the
+/// virtual chipset is emulated, the disk controller and NIC pass through.
+#[derive(Debug)]
+pub struct Lightweight {
+    stub: Stub,
+    entry: u32,
+    flight: Option<Box<FlightRecorder<LvmmSnapshot>>>,
 }
 
-impl Default for LvmmConfig {
-    fn default() -> Self {
-        LvmmConfig {
-            monitor_mem: 2 * 1024 * 1024,
-            debug_on_unhandled_fault: true,
-        }
-    }
-}
-
-/// Exit counters — the paper-adjacent ablation data (Table A).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LvmmStats {
-    /// Privileged-instruction emulations (CSR, `tret`, `wfi`, `tlbflush`).
-    pub exits_privileged: u64,
-    /// Emulated MMIO accesses (virtual PIC/PIT/UART).
-    pub exits_mmio: u64,
-    /// Shadow page-table fills.
-    pub exits_shadow: u64,
-    /// Real device interrupts reflected into the virtual PIC.
-    pub exits_irq_reflect: u64,
-    /// Debug exits (breakpoints, single steps, watchpoints, break-ins).
-    pub exits_debug: u64,
-    /// Guest faults re-injected to the guest's own handler.
-    pub faults_injected: u64,
-    /// Virtual interrupts injected.
-    pub irqs_injected: u64,
-    /// Guest attempts to reach monitor memory or page tables outside guest
-    /// RAM — all blocked.
-    pub protection_violations: u64,
-    /// Single guest stores emulated because a watchpoint shares their page.
-    pub emulated_stores: u64,
-    /// Single guest loads emulated because a read watchpoint shares their
-    /// page.
-    pub emulated_loads: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunState {
-    Running,
-    GuestIdle,
-    Stopped,
-}
+/// The lightweight-VMM platform (see the [module docs](self)): the shared
+/// [`MonitorCore`] with the [`Lightweight`] device policy and debug stub.
+pub type LvmmPlatform = MonitorCore<Lightweight>;
 
 /// Everything that changes as the platform runs — the restorable part of a
 /// flight-recorder checkpoint. Immutable construction parameters (`entry`,
-/// `monitor_base`, `ram_size`, `cfg`) are deliberately excluded.
+/// `monitor_base`, `ram_size`) are deliberately excluded.
 #[derive(Debug, Clone)]
 struct LvmmSnapshot {
     machine: Machine,
@@ -104,89 +67,21 @@ struct LvmmSnapshot {
     chipset: VChipset,
     stub: Stub,
     stats: TimeStats,
-    mstats: LvmmStats,
+    mstats: MonitorStats,
     state: RunState,
     progress: ProgressGuard,
 }
 
-/// The lightweight-VMM platform (see the [module docs](self)).
-///
-/// The run loop, cycle charging and instruction batching come from the
-/// shared [`ExitPolicy`] engine; this type implements the lvmm-specific
-/// exit handling (privileged emulation, shadow paging, the debug stub) plus
-/// the time-travel [`FlightRecorder`] (boxed so a platform without the
-/// recorder pays one pointer of overhead).
-#[derive(Debug)]
-pub struct LvmmPlatform {
-    machine: Machine,
-    vcpu: VCpu,
-    /// Seat storage for every core's virtual CPU; `vcpus[cur_core]` holds a
-    /// stale placeholder while that core's state lives in `self.vcpu`
-    /// (mirrors how [`Machine`] seats its real CPUs).
-    vcpus: Vec<VCpu>,
-    /// The core whose virtual CPU is in `self.vcpu`.
-    cur_core: usize,
-    /// Per-core pending *virtual* IPI line masks: the monitor consumed the
-    /// real IPI and owes the guest core an injected vector.
-    vipi: Vec<u8>,
-    shadow: ShadowPager,
-    chipset: VChipset,
-    stub: Stub,
-    stats: TimeStats,
-    mstats: LvmmStats,
-    state: RunState,
-    entry: u32,
-    monitor_base: u32,
-    ram_size: u32,
-    cfg: LvmmConfig,
-    // Livelock guard: identical consecutive shadow faults indicate a bug.
-    progress: ProgressGuard,
-    flight: Option<Box<FlightRecorder<LvmmSnapshot>>>,
-}
+impl Seams for Lightweight {
+    const NAME: &'static str = "lvmm";
+    const COSTS: Costs = Costs {
+        exit_base: costs::EXIT_BASE,
+        reflect_irq: costs::REFLECT_IRQ,
+        emul_dev_reg: costs::EMUL_MMIO,
+        monitor_mem: MONITOR_MEM,
+    };
 
-impl LvmmPlatform {
-    /// Installs the monitor on `machine` and prepares the guest to boot at
-    /// `entry` (image already loaded). The guest starts in *virtual*
-    /// supervisor mode with paging off — exactly what it would see on real
-    /// hardware — while the real CPU runs it in user mode behind an
-    /// identity shadow table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine's RAM is too small for the configured monitor
-    /// region.
-    pub fn new(machine: Machine, entry: u32) -> LvmmPlatform {
-        Self::with_config(machine, entry, LvmmConfig::default())
-    }
-
-    /// [`LvmmPlatform::new`] with an explicit [`LvmmConfig`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine's RAM is too small for the monitor region.
-    pub fn with_config(mut machine: Machine, entry: u32, cfg: LvmmConfig) -> LvmmPlatform {
-        let ram_size = machine.config().ram_size as u32;
-        assert!(cfg.monitor_mem < ram_size, "monitor region exceeds RAM");
-        let monitor_base = ram_size - cfg.monitor_mem;
-        let mut shadow = ShadowPager::new(monitor_base, ram_size);
-
-        // Deprivilege the guest; the monitor owns the real privileged state.
-        machine.cpu.set_mode(Mode::User);
-        machine.cpu.set_pc(entry);
-        machine.cpu.write_csr(Csr::Status, Status::IE);
-        // Identity shadow context (guest paging off), kernel view active.
-        let root = shadow.root_for(&mut machine.mem, 0, Mode::Supervisor);
-        machine.cpu.write_csr(Csr::Ptbr, root | 1);
-        // Secondary cores boot deprivileged too, sharing the identity
-        // shadow until they install their own address space; their PC is
-        // set by the startup IPI when the guest brings them online.
-        let cores = machine.num_cores();
-        for i in 1..cores {
-            let c = machine.core_mut(i);
-            c.set_mode(Mode::User);
-            c.write_csr(Csr::Status, Status::IE);
-            c.write_csr(Csr::Ptbr, root | 1);
-        }
+    fn attach(machine: &mut Machine, _monitor_base: u32, entry: u32) -> (Self, u32) {
         // The monitor listens to the real UART.
         machine
             .bus_write(
@@ -195,28 +90,161 @@ impl LvmmPlatform {
                 MemSize::Word,
             )
             .expect("UART present");
-
-        LvmmPlatform {
-            machine,
-            vcpu: VCpu::new(),
-            vcpus: vec![VCpu::new(); cores],
-            cur_core: 0,
-            vipi: vec![0; cores],
-            shadow,
-            chipset: VChipset::new(),
+        let plat = Lightweight {
             stub: Stub::new(),
-            stats: TimeStats::new(),
-            mstats: LvmmStats::default(),
-            state: RunState::Running,
             entry,
-            monitor_base,
-            ram_size,
-            cfg,
-            progress: ProgressGuard::new(),
             flight: None,
+        };
+        (plat, machine.config().ram_size as u32)
+    }
+
+    fn route_irq(core: &mut LvmmPlatform, irq: u8) -> bool {
+        if irq == map::irq::UART {
+            // Host debugger traffic — the monitor's own business.
+            core.service_uart();
+            return false;
+        }
+        // Timer and passthrough-device interrupts belong to the guest.
+        true
+    }
+
+    fn park(core: &mut LvmmPlatform, reason: StopReason) -> bool {
+        core.stub_stop(reason);
+        true
+    }
+
+    fn breakpoint(core: &mut LvmmPlatform, trap: Trap) -> ExitCause {
+        if core.plat.stub.breakpoints.contains_key(&trap.epc) {
+            core.mstats.exits_debug += 1;
+            if core.bp_condition_holds(trap.epc) {
+                core.stub_stop(StopReason::Breakpoint { pc: trap.epc });
+            } else {
+                // Condition false: silently step over the planted `ebreak`
+                // and keep running — the guest never observes the stop.
+                core.arm_resume(StepIntent::Resume);
+            }
+        } else {
+            // The guest's own `ebreak` (e.g. its embedded debugger).
+            core.inject_guest_trap(Cause::Breakpoint, trap.epc, trap.tval);
+        }
+        ExitCause::Debug
+    }
+
+    fn claim_step(core: &mut LvmmPlatform, epc: u32) -> bool {
+        if let Some(addr) = core.plat.stub.lifted_bp.take() {
+            // Re-plant the breakpoint we stepped off.
+            if let Some(pa) = core.debug_translate(addr) {
+                let _ = core.machine.mem.write(pa, EBREAK_WORD, MemSize::Word);
+            }
+        }
+        match core.plat.stub.step_intent.take() {
+            Some(StepIntent::Step) => {
+                core.mstats.exits_debug += 1;
+                core.stub_stop(StopReason::Step { pc: epc });
+                true
+            }
+            Some(StepIntent::Resume) => {
+                core.sync_tf(); // guest's own vTF may still want stepping
+                true
+            }
+            None => false,
         }
     }
 
+    fn step_armed(core: &LvmmPlatform) -> bool {
+        core.plat.stub.step_intent.is_some()
+    }
+
+    fn watch_fault(
+        core: &mut LvmmPlatform,
+        trap: Trap,
+        gpa: u32,
+        access: Access,
+    ) -> Option<ExitCause> {
+        // Accesses into a watched page never get a shadow mapping in the
+        // watched direction, so every one of them faults into the monitor
+        // for inspection.
+        let va = trap.tval;
+        let is_store = access == Access::Store;
+        let stub = &core.plat.stub;
+        let watched_page = if is_store {
+            stub.watch_overlaps_page_write(va)
+        } else {
+            access == Access::Load && stub.watch_overlaps_page_read(va)
+        };
+        if !watched_page {
+            return None;
+        }
+        if let Some(w) = core.plat.stub.watch_hit(va, 4, is_store) {
+            let cond = w.cond.clone();
+            // Unevaluable conditions stop too — fail safe.
+            if cond.is_none_or(|c| c.eval(core).is_none_or(|v| v != 0)) {
+                core.mstats.exits_debug += 1;
+                core.stub_stop(StopReason::Watchpoint {
+                    pc: trap.epc,
+                    addr: va,
+                });
+                return Some(ExitCause::Debug);
+            }
+        }
+        // Unwatched (or condition-false) access that merely shares the
+        // page: the monitor completes it on the guest's behalf.
+        if is_store {
+            core.emulate_guest_store(trap, gpa);
+        } else {
+            core.emulate_guest_load(trap, gpa);
+        }
+        Some(ExitCause::Debug)
+    }
+
+    fn withheld_perms(core: &LvmmPlatform, va: u32) -> u32 {
+        let stub = &core.plat.stub;
+        let mut perms = 0;
+        if stub.watch_overlaps_page_read(va) {
+            perms |= pte::R;
+        }
+        if stub.watch_overlaps_page_write(va) {
+            perms |= pte::W;
+        }
+        perms
+    }
+
+    fn stopped_step(core: &mut LvmmPlatform) -> PlatformStep {
+        // While stopped the monitor polls its UART; device events keep
+        // firing (real time does not stop for the debugger).
+        if core.machine.uart.rx_pending() == 0 {
+            // Advance a polling quantum so the host's pump loop sees
+            // progress.
+            core.machine.consume(costs::STUB_POLL);
+            core.charge(TimeBucket::Idle, costs::STUB_POLL);
+        } else {
+            core.service_uart();
+        }
+        PlatformStep::Running
+    }
+
+    fn before_step(core: &mut LvmmPlatform) {
+        core.maybe_checkpoint();
+    }
+
+    fn may_batch(core: &LvmmPlatform) -> bool {
+        // The flight recorder needs per-instruction boundaries (its
+        // `reverse-step` anchor and checkpoint cadence).
+        core.plat.flight.is_none()
+    }
+
+    /// Remembers the boundary cycle at which the latest guest instruction
+    /// started — seeking there lands *before* that instruction executes,
+    /// which is what `reverse-step` wants (e.g. parked on the faulting
+    /// store, one instant before the damage).
+    fn on_instr_boundary(core: &mut LvmmPlatform, at: u64) {
+        if let Some(fr) = &mut core.plat.flight {
+            fr.last_instr_at = at;
+        }
+    }
+}
+
+impl LvmmPlatform {
     /// Turns on the flight recorder: every nondeterministic input and device
     /// event is journaled from this point on, and a full machine snapshot is
     /// taken every `every` cycles (see
@@ -231,17 +259,17 @@ impl LvmmPlatform {
         let now = self.machine.now();
         let digest = self.state_digest();
         let snap = self.snapshot();
-        self.flight = Some(Box::new(FlightRecorder::new(every, now, digest, snap)));
+        self.plat.flight = Some(Box::new(FlightRecorder::new(every, now, digest, snap)));
     }
 
     /// Is the flight recorder on?
     pub fn flight_recorder_enabled(&self) -> bool {
-        self.flight.is_some()
+        self.plat.flight.is_some()
     }
 
     /// Number of checkpoints currently held (diagnostics and tests).
     pub fn checkpoint_count(&self) -> usize {
-        self.flight.as_ref().map_or(0, |f| f.checkpoints.len())
+        self.plat.flight.as_ref().map_or(0, |f| f.checkpoints.len())
     }
 
     /// Checksums of guest-visible machine state, used to audit replay
@@ -279,7 +307,7 @@ impl LvmmPlatform {
             vipi: self.vipi.clone(),
             shadow: self.shadow.clone(),
             chipset: self.chipset.clone(),
-            stub: self.stub.clone(),
+            stub: self.plat.stub.clone(),
             stats: self.stats,
             mstats: self.mstats,
             state: self.state,
@@ -295,7 +323,7 @@ impl LvmmPlatform {
         self.vipi = snap.vipi;
         self.shadow = snap.shadow;
         self.chipset = snap.chipset;
-        self.stub = snap.stub;
+        self.plat.stub = snap.stub;
         self.stats = snap.stats;
         self.mstats = snap.mstats;
         self.state = snap.state;
@@ -307,7 +335,11 @@ impl LvmmPlatform {
     /// rebuilds the later checkpoints on the (identical) new timeline.
     fn maybe_checkpoint(&mut self) {
         let now = self.machine.now();
-        let due = self.flight.as_ref().is_some_and(|f| f.checkpoints.due(now));
+        let due = self
+            .plat
+            .flight
+            .as_ref()
+            .is_some_and(|f| f.checkpoints.due(now));
         if !due {
             return;
         }
@@ -317,7 +349,7 @@ impl LvmmPlatform {
         self.machine.obs.host_mark(HostPhase::GuestExec);
         let digest = self.state_digest();
         let snap = self.snapshot();
-        if let Some(f) = &mut self.flight {
+        if let Some(f) = &mut self.plat.flight {
             f.checkpoints.record(now, digest, snap);
         }
         self.machine.obs.host_mark(HostPhase::Journal);
@@ -334,7 +366,7 @@ impl LvmmPlatform {
     /// journal, checkpoints and stop history beyond the restore point are
     /// truncated and rebuilt).
     fn seek_to(&mut self, target: u64) -> Reply {
-        let Some(fr) = self.flight.as_deref() else {
+        let Some(fr) = self.plat.flight.as_deref() else {
             return Reply::Error(err::RECORDER);
         };
         if fr.replaying {
@@ -348,7 +380,7 @@ impl LvmmPlatform {
         };
         let mut cursor = ReplayCursor::new(&journal);
         if target < self.machine.now() {
-            let fr = self.flight.as_mut().expect("checked above");
+            let fr = self.plat.flight.as_mut().expect("checked above");
             let Some(cp) = fr.checkpoints.nearest_at_or_before(target) else {
                 return Reply::Error(err::RECORDER);
             };
@@ -358,7 +390,7 @@ impl LvmmPlatform {
             fr.stop_history.retain(|&c| c <= cp_at);
             self.restore(snap);
         }
-        self.flight.as_mut().expect("checked above").replaying = true;
+        self.plat.flight.as_mut().expect("checked above").replaying = true;
         // Inputs already baked into the (possibly restored) machine state
         // are exactly the ones its own journal holds — skip by count, not
         // by cycle, so records tied with the checkpoint cycle (e.g. a break
@@ -381,619 +413,21 @@ impl LvmmPlatform {
         // Stub replies regenerated during the re-run were already delivered
         // on the original timeline; the host must not see them twice.
         let _ = self.machine.uart_output();
-        self.flight.as_mut().expect("checked above").replaying = false;
+        self.plat.flight.as_mut().expect("checked above").replaying = false;
         let pc = self.machine.cpu.pc();
         let cycle = self.machine.now();
         self.stub_stop(StopReason::TimeTravel { pc, cycle });
         Reply::Ok
     }
 
-    /// Monitor exit/injection counters.
-    pub fn monitor_stats(&self) -> LvmmStats {
-        self.mstats
-    }
-
-    /// Shadow-paging counters.
-    pub fn shadow_stats(&self) -> ShadowStats {
-        self.shadow.stats
-    }
-
     /// Debug-stub counters.
     pub fn stub_stats(&self) -> StubStats {
-        self.stub.stats
-    }
-
-    /// The guest's virtual CPU state (diagnostics and tests).
-    pub fn vcpu(&self) -> &VCpu {
-        &self.vcpu
+        self.plat.stub.stats
     }
 
     /// Is the guest currently stopped under debugger control?
     pub fn guest_stopped(&self) -> bool {
-        self.stub.stopped
-    }
-
-    /// Base of the monitor-reserved memory region.
-    pub fn monitor_base(&self) -> u32 {
-        self.monitor_base
-    }
-
-    /// Virtual-PIC `(IRR, ISR, IMR)` snapshot, for diagnostics.
-    pub fn chipset_vpic(&self) -> (u8, u8, u8) {
-        (
-            self.chipset.vpic.irr(),
-            self.chipset.vpic.isr(),
-            self.chipset.vpic.imr(),
-        )
-    }
-
-    fn consume_monitor(&mut self, cycles: u64) {
-        self.consume(TimeBucket::Monitor, cycles);
-    }
-
-    fn shadow_key(&self) -> u32 {
-        if self.vcpu.paging_enabled() {
-            self.vcpu.ptbr
-        } else {
-            0
-        }
-    }
-
-    /// Activates the shadow view matching the guest's current virtual mode
-    /// and address space.
-    fn activate_shadow(&mut self) {
-        let key = self.shadow_key();
-        let root = self
-            .shadow
-            .root_for(&mut self.machine.mem, key, self.vcpu.vmode);
-        self.machine.cpu.write_csr(Csr::Ptbr, root | 1);
-    }
-
-    /// Injects a virtual trap into the guest (its handler runs next).
-    fn inject_guest_trap(&mut self, cause: Cause, epc: u32, tval: u32) {
-        let unhandled = self.vcpu.tvec == 0;
-        // Double fault: a synchronous fault raised *at the handler entry
-        // itself* means the guest's handler is gone (e.g. overwritten by
-        // the bug under investigation). A real kernel would triple-fault
-        // and reset; the monitor parks the guest for debugging instead —
-        // the stability story of the paper.
-        let double_fault = epc == self.vcpu.tvec
-            && !matches!(cause, Cause::Interrupt | Cause::EcallU | Cause::EcallS);
-        if (unhandled || double_fault) && self.cfg.debug_on_unhandled_fault {
-            self.stub_stop(StopReason::Fault {
-                pc: epc,
-                cause: cause.code(),
-            });
-            return;
-        }
-        let vcause = self.vcpu.virtual_cause(cause);
-        let handler = self.vcpu.enter_trap(vcause, epc, tval);
-        self.activate_shadow();
-        self.machine.cpu.set_pc(handler);
-        self.sync_tf();
-        self.consume_monitor(costs::INJECT_TRAP);
-        self.mstats.faults_injected += 1;
-    }
-
-    /// Aligns the monitor's per-core virtual CPU with the machine's active
-    /// core. The machine rotates cores at its own quantum boundaries; the
-    /// monitor only observes the outcome at its next exit, so every exit
-    /// entry point calls this first. No-op (and byte-free) on single-core.
-    fn sync_core(&mut self) {
-        let active = self.machine.active_core();
-        if active == self.cur_core {
-            return;
-        }
-        let prev = self.cur_core;
-        std::mem::swap(&mut self.vcpu, &mut self.vcpus[prev]);
-        std::mem::swap(&mut self.vcpu, &mut self.vcpus[active]);
-        self.cur_core = active;
-        // The real Ptbr travels with the core's seat, but the shadow tables
-        // may have been flushed while another core held the seat — recompute
-        // the root for this core's virtual address space.
-        self.activate_shadow();
-    }
-
-    /// Handles a real inter-processor interrupt surfaced to the active
-    /// core: the monitor consumed it at the machine boundary and re-latches
-    /// it as a *virtual* IPI to inject when the guest's window opens.
-    fn handle_ipi(&mut self, line: u8) {
-        self.consume_monitor(costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.record_exit(ExitCause::IrqReflect, costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.mstats.exits_irq_reflect += 1;
-        self.vipi[self.cur_core] |= 1 << line;
-        self.maybe_inject_irq();
-    }
-
-    /// Opens the virtual interrupt window if possible: injects the highest
-    /// priority pending virtual interrupt. Virtual IPIs outrank the virtual
-    /// PIC (they model the local APIC), matching the machine's own
-    /// arbitration order; the virtual PIC wires to core 0 only, like the
-    /// real one.
-    fn maybe_inject_irq(&mut self) {
-        if self.state == RunState::Stopped || !self.vcpu.interrupts_enabled() {
-            return;
-        }
-        let pending = self.vipi[self.cur_core];
-        if pending != 0 {
-            let line = pending.trailing_zeros() as u8;
-            self.vipi[self.cur_core] &= !(1 << line);
-            let epc = self.machine.cpu.pc();
-            let vector = smp::VECTOR_BASE + line;
-            let handler = self.vcpu.enter_trap(Cause::Interrupt, epc, vector as u32);
-            self.activate_shadow();
-            self.machine.cpu.set_pc(handler);
-            self.sync_tf();
-            self.consume_monitor(costs::INJECT_TRAP);
-            self.record_exit(ExitCause::IrqInject, costs::INJECT_TRAP);
-            self.mstats.irqs_injected += 1;
-            // The injected vector is this core's wake event if it parked.
-            self.machine.wake_core(self.cur_core);
-            self.state = RunState::Running;
-            return;
-        }
-        if self.cur_core != 0 {
-            return;
-        }
-        if let Some((irq, vector)) = self.chipset.vpic.inta() {
-            {
-                let now = self.machine.now();
-                self.machine.obs.prof_irq_entry(irq as u32, now);
-                // Virtual-PIC INTA is the guest's ISR entry under this
-                // monitor — the causal dispatch flow ends here, not at the
-                // monitor's earlier receipt of the real interrupt.
-                self.machine.obs.inta(now, irq as u32);
-            }
-            let epc = self.machine.cpu.pc();
-            let handler = self.vcpu.enter_trap(Cause::Interrupt, epc, vector as u32);
-            self.activate_shadow();
-            self.machine.cpu.set_pc(handler);
-            self.sync_tf();
-            self.consume_monitor(costs::INJECT_TRAP);
-            self.record_exit(ExitCause::IrqInject, costs::INJECT_TRAP);
-            self.mstats.irqs_injected += 1;
-            if self.machine.num_cores() > 1 {
-                self.machine.wake_core(0);
-            }
-            self.state = RunState::Running;
-        }
-    }
-
-    /// Mirrors the *virtual* single-step flag and any stub stepping intent
-    /// onto the real `STATUS.TF`.
-    fn sync_tf(&mut self) {
-        let want = self.stub.step_intent.is_some() || self.vcpu.status.tf();
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, want).0);
-    }
-
-    // ------------------------------------------------------------------
-    // Trap dispatch
-    // ------------------------------------------------------------------
-
-    fn dispatch_trap(&mut self, trap: Trap) {
-        self.sync_core();
-        // Measure the monitor cycles this exit costs, end to end, and
-        // attribute them to one cause in the exit histograms. The trailing
-        // interrupt-window check accounts separately (as `irq-inject`).
-        let monitor_before = self.stats.monitor;
-        let cause = match trap.cause {
-            Cause::PrivilegedInstruction => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.mstats.exits_privileged += 1;
-                self.emulate_privileged(trap);
-                ExitCause::Privileged
-            }
-            Cause::InstrPageFault | Cause::LoadPageFault | Cause::StorePageFault => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.handle_shadow_fault(trap)
-            }
-            Cause::Breakpoint => {
-                self.consume_monitor(costs::EXIT_BASE);
-                if self.stub.breakpoints.contains_key(&trap.epc) {
-                    self.mstats.exits_debug += 1;
-                    if self.bp_condition_holds(trap.epc) {
-                        self.stub_stop(StopReason::Breakpoint { pc: trap.epc });
-                    } else {
-                        // Condition false: silently step over the planted
-                        // `ebreak` and keep running — the guest never
-                        // observes the stop.
-                        self.arm_resume(StepIntent::Resume);
-                    }
-                } else {
-                    // The guest's own `ebreak` (e.g. its embedded debugger).
-                    self.inject_guest_trap(Cause::Breakpoint, trap.epc, trap.tval);
-                }
-                ExitCause::Debug
-            }
-            Cause::DebugStep => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.handle_debug_step(trap);
-                ExitCause::Debug
-            }
-            other => {
-                // Ecall, misalignments, access faults, illegal instructions:
-                // the guest's business — reflect to its virtual handler.
-                self.consume_monitor(costs::EXIT_BASE);
-                self.inject_guest_trap(other, trap.epc, trap.tval);
-                ExitCause::IrqInject
-            }
-        };
-        let delta = self.stats.monitor - monitor_before;
-        self.record_exit(cause, delta);
-        self.maybe_inject_irq();
-    }
-
-    fn handle_debug_step(&mut self, trap: Trap) {
-        // The intercepted DebugStep did not clear the real TF (no take_trap
-        // ran); drop it before deciding what to do next.
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, false).0);
-
-        if let Some(addr) = self.stub.lifted_bp.take() {
-            // Re-plant the breakpoint we stepped off.
-            if let Some(pa) = self.debug_translate(addr) {
-                let _ = self.machine.mem.write(pa, EBREAK_WORD, MemSize::Word);
-            }
-        }
-        match self.stub.step_intent.take() {
-            Some(StepIntent::Step) => {
-                self.mstats.exits_debug += 1;
-                self.stub_stop(StopReason::Step { pc: trap.epc });
-            }
-            Some(StepIntent::Resume) => {
-                self.sync_tf(); // guest's own vTF may still want stepping
-            }
-            None => {
-                if self.vcpu.status.tf() {
-                    // The guest is single-stepping its own code.
-                    self.inject_guest_trap(Cause::DebugStep, trap.epc, 0);
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Privileged-instruction emulation (the "CPU-resources emulator")
-    // ------------------------------------------------------------------
-
-    fn emulate_privileged(&mut self, trap: Trap) {
-        let pc = trap.epc;
-        let Ok(instr) = Instr::decode(trap.tval) else {
-            self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-            return;
-        };
-        match instr {
-            Instr::Csr { op, rd, rs1, csr } => {
-                self.consume_monitor(costs::EMUL_CSR);
-                let Some(c) = Csr::from_number(csr) else {
-                    self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-                    return;
-                };
-                let old = self.vcpu.read_csr(c, &self.machine.cpu);
-                let writes = match op {
-                    hx_cpu::isa::CsrOp::Rw => true,
-                    _ => rs1 != hx_cpu::Reg::R0,
-                };
-                if writes {
-                    if c.is_read_only() {
-                        self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-                        return;
-                    }
-                    let src = self.machine.cpu.reg(rs1);
-                    let new = match op {
-                        hx_cpu::isa::CsrOp::Rw => src,
-                        hx_cpu::isa::CsrOp::Rs => old | src,
-                        hx_cpu::isa::CsrOp::Rc => old & !src,
-                    };
-                    let sensitive = self.vcpu.write_csr(c, new);
-                    if c == Csr::Ptbr && sensitive {
-                        // Guest address-space switch: activate (and possibly
-                        // build) the matching shadow context.
-                        self.consume_monitor(costs::SHADOW_FLUSH);
-                        self.activate_shadow();
-                    }
-                    if c == Csr::Status {
-                        self.sync_tf();
-                    }
-                }
-                self.machine.cpu.set_reg(rd, old);
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-            }
-            Instr::Sys { op: SysOp::Tret } => {
-                self.consume_monitor(costs::EMUL_TRET);
-                let resume = self.vcpu.leave_trap();
-                self.activate_shadow();
-                self.machine.cpu.set_pc(resume);
-                self.sync_tf();
-            }
-            Instr::Sys { op: SysOp::Wfi } => {
-                self.consume_monitor(costs::EMUL_WFI);
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-                if self.machine.num_cores() > 1 {
-                    // Park just this core at the machine level so the
-                    // scheduler hands the seat to a runnable sibling; the
-                    // platform state stays Running for the others.
-                    self.machine.park_active();
-                } else {
-                    self.state = RunState::GuestIdle;
-                }
-            }
-            Instr::Sys {
-                op: SysOp::TlbFlush,
-            } => {
-                self.consume_monitor(costs::SHADOW_FLUSH);
-                let key = self.shadow_key();
-                self.shadow.flush_context(&mut self.machine.mem, key);
-                self.machine.cpu.tlb_flush();
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-            }
-            _ => {
-                self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Shadow fault handling (paging + partial device emulation + level-3
-    // protection)
-    // ------------------------------------------------------------------
-
-    fn handle_shadow_fault(&mut self, trap: Trap) -> ExitCause {
-        let va = trap.tval;
-        let access = Access::from_fault(trap.cause);
-        let vmode = self.vcpu.vmode;
-        {
-            let now = self.machine.now();
-            self.machine
-                .obs
-                .event(now, EventKind::ShadowFault { vaddr: va });
-        }
-
-        // Resolve the guest-physical address and guest permissions.
-        let (gpa, gperm_w, gflags) = if self.vcpu.paging_enabled() {
-            let root = self.vcpu.page_table_root();
-            match guest_walk(
-                &mut self.machine.mem,
-                root,
-                va,
-                access,
-                vmode,
-                self.monitor_base,
-                true,
-            ) {
-                Ok(w) => (w.gpa, w.pte & pte::W != 0 && w.pte & pte::D != 0, w.pte),
-                Err(GuestWalkErr::GuestFault) => {
-                    self.inject_guest_trap(trap.cause, trap.epc, va);
-                    return ExitCause::Shadow;
-                }
-                Err(GuestWalkErr::BadTable) => {
-                    self.mstats.protection_violations += 1;
-                    self.shadow.stats.protection_violations += 1;
-                    self.inject_guest_trap(trap.cause, trap.epc, va);
-                    return ExitCause::Protection;
-                }
-            }
-        } else {
-            // Identity: kernel-era physical addressing.
-            (
-                va,
-                true,
-                pte::V | pte::R | pte::W | pte::X | pte::U | pte::A | pte::D,
-            )
-        };
-
-        match classify(gpa, self.monitor_base, self.ram_size) {
-            PageClass::Monitor => {
-                // Level-3 protection: the monitor is untouchable.
-                self.mstats.protection_violations += 1;
-                self.shadow.stats.protection_violations += 1;
-                self.inject_guest_trap(trap.cause, trap.epc, va);
-                ExitCause::Protection
-            }
-            PageClass::Unmapped => {
-                self.inject_guest_trap(access.fault_cause(), trap.epc, va);
-                ExitCause::Shadow
-            }
-            PageClass::EmulatedMmio => {
-                self.mstats.exits_mmio += 1;
-                self.emulate_mmio(trap, va, gpa, access);
-                ExitCause::Mmio
-            }
-            PageClass::PassthroughMmio => {
-                if self.progress.no_progress(&trap) {
-                    self.stub_stop(StopReason::Fault {
-                        pc: trap.epc,
-                        cause: trap.cause.code(),
-                    });
-                    return ExitCause::Debug;
-                }
-                self.mstats.exits_shadow += 1;
-                self.consume_monitor(costs::SHADOW_FILL);
-                let key = self.shadow_key();
-                self.shadow.map(
-                    &mut self.machine.mem,
-                    key,
-                    vmode,
-                    va & !PAGE_MASK,
-                    gpa & !PAGE_MASK,
-                    pte::V | pte::R | pte::W | pte::U | pte::A | pte::D,
-                );
-                ExitCause::Shadow
-            }
-            PageClass::GuestRam => {
-                if self.progress.no_progress(&trap) {
-                    self.stub_stop(StopReason::Fault {
-                        pc: trap.epc,
-                        cause: trap.cause.code(),
-                    });
-                    return ExitCause::Debug;
-                }
-                // Watchpoints first: accesses into a watched page never get
-                // a shadow mapping in the watched direction, so every one
-                // of them faults into the monitor for inspection.
-                let is_store = access == Access::Store;
-                let watched_page = if is_store {
-                    self.stub.watch_overlaps_page_write(va)
-                } else {
-                    access == Access::Load && self.stub.watch_overlaps_page_read(va)
-                };
-                if watched_page {
-                    if let Some(w) = self.stub.watch_hit(va, 4, is_store) {
-                        let cond = w.cond.clone();
-                        let stop = match cond {
-                            None => true,
-                            // Unevaluable conditions stop too — fail safe.
-                            Some(c) => c.eval(self).is_none_or(|v| v != 0),
-                        };
-                        if stop {
-                            self.mstats.exits_debug += 1;
-                            self.stub_stop(StopReason::Watchpoint {
-                                pc: trap.epc,
-                                addr: va,
-                            });
-                            return ExitCause::Debug;
-                        }
-                    }
-                    // Unwatched (or condition-false) access that merely
-                    // shares the page: the monitor completes it on the
-                    // guest's behalf.
-                    if is_store {
-                        self.emulate_guest_store(trap, gpa);
-                    } else {
-                        self.emulate_guest_load(trap, gpa);
-                    }
-                    return ExitCause::Debug;
-                }
-                self.mstats.exits_shadow += 1;
-                self.consume_monitor(costs::SHADOW_FILL);
-                let mut flags = pte::V | pte::U | pte::A | pte::D;
-                if gflags & pte::R != 0 && !self.stub.watch_overlaps_page_read(va) {
-                    flags |= pte::R;
-                }
-                if gflags & pte::X != 0 {
-                    flags |= pte::X;
-                }
-                if gperm_w && !self.stub.watch_overlaps_page_write(va) {
-                    flags |= pte::W;
-                }
-                let key = self.shadow_key();
-                self.shadow.map(
-                    &mut self.machine.mem,
-                    key,
-                    vmode,
-                    va & !PAGE_MASK,
-                    gpa & !PAGE_MASK,
-                    flags,
-                );
-                ExitCause::Shadow
-            }
-        }
-    }
-
-    /// Decodes and completes the guest's faulting load/store against the
-    /// virtual chipset ("partial hardware emulation").
-    fn emulate_mmio(&mut self, trap: Trap, va: u32, gpa: u32, access: Access) {
-        self.consume_monitor(costs::EMUL_MMIO);
-        let Some(instr) = self.fetch_guest_instr(trap.epc) else {
-            self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
-            return;
-        };
-        let page = gpa & !(map::DEV_PAGE - 1);
-        let offset = gpa & (map::DEV_PAGE - 1);
-        match (instr, access) {
-            (
-                Instr::Load {
-                    kind: LoadKind::W,
-                    rd,
-                    ..
-                },
-                Access::Load,
-            ) => {
-                let val = if page == map::PIC_BASE && offset >= smp::reg::SEND {
-                    self.ipi_mmio_read(offset)
-                } else {
-                    self.chipset.mmio_read(&mut self.machine, page, offset)
-                };
-                self.machine.cpu.set_reg(rd, val);
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                self.machine.note_logpoints(trap.epc);
-            }
-            (
-                Instr::Store {
-                    kind: StoreKind::W,
-                    rs2,
-                    ..
-                },
-                Access::Store,
-            ) => {
-                let val = self.machine.cpu.reg(rs2);
-                if page == map::PIC_BASE && offset == hx_machine::pic::reg::EOI {
-                    // The guest is retiring a virtual interrupt: close the
-                    // profiler's entry→EOI latency window and the causal
-                    // ISR-service flow. The monitor's own retirement of the
-                    // *real* PIC goes through the device directly, so this
-                    // is the only EOI the causal layer sees.
-                    let now = self.machine.now();
-                    self.machine.obs.prof_irq_eoi(now);
-                    self.machine.obs.eoi(now);
-                }
-                if page == map::PIC_BASE && offset >= smp::reg::SEND {
-                    self.ipi_mmio_write(offset, val);
-                } else {
-                    self.chipset
-                        .mmio_write(&mut self.machine, page, offset, val);
-                }
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                self.machine.note_logpoints(trap.epc);
-            }
-            _ => {
-                // Sub-word or executable access to a device page: reflect
-                // as an access fault, like real hardware would.
-                self.inject_guest_trap(access.fault_cause(), trap.epc, va);
-            }
-        }
-        // Attribute the emulation's host time to the device itself; the
-        // trailing `record_exit(Mmio)` then covers only exit bookkeeping.
-        if let Some(dev) = map::dev_of(gpa) {
-            self.machine.obs.host_mark(HostPhase::Device(dev));
-        }
-    }
-
-    /// Emulates a guest read of the IPI registers (the block above the
-    /// 8259 registers on the PIC page). The monitor answers `CORE_ID` and
-    /// `NUM_CORES` itself and reads `ENTRY` through the machine, so the
-    /// deprivileged guest sees exactly what a raw guest would.
-    fn ipi_mmio_read(&mut self, offset: u32) -> u32 {
-        match offset {
-            smp::reg::ENTRY => self.machine.ipi_entry(),
-            smp::reg::CORE_ID => self.cur_core as u32,
-            smp::reg::NUM_CORES => self.machine.num_cores() as u32,
-            _ => {
-                self.chipset.bad_accesses += 1;
-                0
-            }
-        }
-    }
-
-    /// Emulates a guest write to the IPI registers: sends route through the
-    /// machine's own delivery path so virtual and raw IPI timing agree.
-    fn ipi_mmio_write(&mut self, offset: u32, val: u32) {
-        match offset {
-            smp::reg::SEND => {
-                let target = (val & 0xff) as u8;
-                let line = ((val >> 8) & 0xff) as u8;
-                if !self.machine.ipi_send(target, line) {
-                    self.chipset.bad_accesses += 1;
-                }
-            }
-            smp::reg::ENTRY => self.machine.set_ipi_entry(val),
-            _ => self.chipset.bad_accesses += 1,
-        }
+        self.plat.stub.stopped
     }
 
     /// Completes one guest store that faulted only because a watchpoint
@@ -1001,6 +435,7 @@ impl LvmmPlatform {
     fn emulate_guest_store(&mut self, trap: Trap, gpa: u32) {
         self.consume_monitor(costs::EMUL_ACCESS);
         self.mstats.emulated_stores += 1;
+        let owed = self.owed_step();
         let Some(instr) = self.fetch_guest_instr(trap.epc) else {
             self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
             return;
@@ -1013,10 +448,7 @@ impl LvmmPlatform {
             };
             let val = self.machine.cpu.reg(rs2);
             if self.machine.mem.write(gpa, val, size).is_ok() {
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                // The instruction retired by emulation — the engine's
-                // boundary hook never saw it.
-                self.machine.note_logpoints(trap.epc);
+                self.retire_emulated(trap.epc, trap.epc.wrapping_add(4), owed);
                 return;
             }
         }
@@ -1028,6 +460,7 @@ impl LvmmPlatform {
     fn emulate_guest_load(&mut self, trap: Trap, gpa: u32) {
         self.consume_monitor(costs::EMUL_ACCESS);
         self.mstats.emulated_loads += 1;
+        let owed = self.owed_step();
         let Some(instr) = self.fetch_guest_instr(trap.epc) else {
             self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
             return;
@@ -1048,45 +481,12 @@ impl LvmmPlatform {
                     LoadKind::W => raw,
                 };
                 self.machine.cpu.set_reg(rd, val);
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                self.machine.note_logpoints(trap.epc);
+                self.retire_emulated(trap.epc, trap.epc.wrapping_add(4), owed);
                 return;
             }
         }
         self.inject_guest_trap(Cause::LoadAccessFault, trap.epc, trap.tval);
     }
-
-    /// Fetches the instruction word at a guest virtual PC.
-    fn fetch_guest_instr(&mut self, pc: u32) -> Option<Instr> {
-        let pa = self.debug_translate(pc)?;
-        let word = self.machine.mem.read(pa, MemSize::Word).ok()?;
-        Instr::decode(word).ok()
-    }
-
-    // ------------------------------------------------------------------
-    // Real interrupt handling
-    // ------------------------------------------------------------------
-
-    fn handle_real_irq(&mut self, irq: u8) {
-        // The monitor owns the real PIC: retire the interrupt immediately.
-        self.machine.pic.eoi(irq);
-        self.consume_monitor(costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.record_exit(ExitCause::IrqReflect, costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.mstats.exits_irq_reflect += 1;
-        if irq == map::irq::UART {
-            // Host debugger traffic — the monitor's own business.
-            self.service_uart();
-        } else {
-            // Timer and passthrough-device interrupts belong to the guest:
-            // latch them in the virtual PIC.
-            self.chipset.vpic.assert_irq(irq);
-        }
-        self.maybe_inject_irq();
-    }
-
-    // ------------------------------------------------------------------
-    // Debug stub behaviour
-    // ------------------------------------------------------------------
 
     fn stub_stop(&mut self, reason: StopReason) {
         // A stop can originate outside the exit path (break-in, reset);
@@ -1096,7 +496,7 @@ impl LvmmPlatform {
         // landings do not (they are already the result of one).
         if !matches!(reason, StopReason::TimeTravel { .. }) {
             let now = self.machine.now();
-            if let Some(fr) = &mut self.flight {
+            if let Some(fr) = &mut self.plat.flight {
                 fr.note_stop(now);
             }
         }
@@ -1105,14 +505,11 @@ impl LvmmPlatform {
         // a running guest, and firing one into a halted machine would
         // corrupt the state the debugger is inspecting.
         self.machine.pause_faults(true);
-        self.stub.stopped = true;
-        self.stub.last_stop = Some(reason);
-        self.stub.step_intent = None;
+        self.plat.stub.stopped = true;
+        self.plat.stub.last_stop = Some(reason);
+        self.plat.stub.step_intent = None;
         // Disarm the hardware single-step flag while stopped.
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, false).0);
+        self.set_real_tf(false);
         // `;c:` appears only for nonzero cores, so single-core stop packets
         // are byte-identical to the pre-SMP wire format.
         let core = self.cur_core as u8;
@@ -1121,28 +518,28 @@ impl LvmmPlatform {
 
     fn send_packet(&mut self, payload: &str) {
         let bytes = wire::encode_packet(payload);
-        self.stub.stats.bytes_out += bytes.len() as u64;
+        self.plat.stub.stats.bytes_out += bytes.len() as u64;
         self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
         self.machine.uart.push_tx(&bytes);
         // Keep the packet until the host ACKs it, so a NAK can be answered
         // by retransmission (a lossy line must not wedge the session).
-        self.stub.last_tx = Some(bytes);
-        self.stub.resends = 0;
+        self.plat.stub.last_tx = Some(bytes);
+        self.plat.stub.resends = 0;
     }
 
     /// Retransmits the unacknowledged packet after a host NAK, bounded by
     /// [`Stub::RESEND_LIMIT`].
     fn resend_packet(&mut self) {
-        let Some(bytes) = self.stub.last_tx.clone() else {
+        let Some(bytes) = self.plat.stub.last_tx.clone() else {
             return;
         };
-        if self.stub.resends >= Stub::RESEND_LIMIT {
-            self.stub.last_tx = None;
+        if self.plat.stub.resends >= Stub::RESEND_LIMIT {
+            self.plat.stub.last_tx = None;
             return;
         }
-        self.stub.resends += 1;
-        self.stub.stats.retransmits += 1;
-        self.stub.stats.bytes_out += bytes.len() as u64;
+        self.plat.stub.resends += 1;
+        self.plat.stub.stats.retransmits += 1;
+        self.plat.stub.stats.bytes_out += bytes.len() as u64;
         self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
         self.machine.uart.push_tx(&bytes);
     }
@@ -1163,13 +560,13 @@ impl LvmmPlatform {
         // Stub servicing is host work after (possibly deferred) guest
         // execution; close the guest window before attributing it.
         self.machine.obs.host_mark(HostPhase::GuestExec);
-        self.stub.stats.bytes_in += bytes.len() as u64;
+        self.plat.stub.stats.bytes_in += bytes.len() as u64;
         self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
-        self.stub.parser.push(&bytes);
-        while let Some(event) = self.stub.parser.next_event() {
+        self.plat.stub.parser.push(&bytes);
+        while let Some(event) = self.plat.stub.parser.next_event() {
             match event {
                 WireEvent::BreakIn => {
-                    self.stub.stats.break_ins += 1;
+                    self.plat.stub.stats.break_ins += 1;
                     self.mstats.exits_debug += 1;
                     let monitor_before = self.stats.monitor;
                     let pc = self.machine.cpu.pc();
@@ -1183,7 +580,7 @@ impl LvmmPlatform {
                     self.machine.uart.push_tx(&[wire::ACK]);
                     let monitor_before = self.stats.monitor;
                     self.consume_monitor(costs::STUB_COMMAND);
-                    self.stub.stats.commands += 1;
+                    self.plat.stub.stats.commands += 1;
                     {
                         let now = self.machine.now();
                         let code = p.as_bytes().first().copied().unwrap_or(0);
@@ -1204,8 +601,8 @@ impl LvmmPlatform {
                 }
                 WireEvent::Ack => {
                     // Delivery confirmed: drop the retransmission cache.
-                    self.stub.last_tx = None;
-                    self.stub.resends = 0;
+                    self.plat.stub.last_tx = None;
+                    self.plat.stub.resends = 0;
                 }
                 WireEvent::Nak => self.resend_packet(),
             }
@@ -1222,13 +619,13 @@ impl LvmmPlatform {
                 self.stub_stop(StopReason::Halted { pc });
                 Reply::Ok
             }
-            Command::QueryStop => match self.stub.last_stop {
-                Some(r) if self.stub.stopped => Reply::Stopped(r),
+            Command::QueryStop => match self.plat.stub.last_stop {
+                Some(r) if self.plat.stub.stopped => Reply::Stopped(r),
                 _ => Reply::Error(err::NOT_STOPPED),
             },
             Command::SetThread { core } => {
                 if (core as usize) < self.machine.num_cores() {
-                    self.stub.sel_core = core;
+                    self.plat.stub.sel_core = core;
                     Reply::Ok
                 } else {
                     Reply::Error(err::CORE)
@@ -1244,7 +641,7 @@ impl LvmmPlatform {
                 }
             }
             Command::ReadRegisters => {
-                let cpu = self.machine.core(self.stub.sel_core as usize);
+                let cpu = self.machine.core(self.plat.stub.sel_core as usize);
                 let mut bytes = Vec::with_capacity(33 * 4);
                 for r in cpu.regs() {
                     bytes.extend_from_slice(&r.to_le_bytes());
@@ -1253,7 +650,7 @@ impl LvmmPlatform {
                 Reply::Hex(bytes)
             }
             Command::WriteRegister { index, value } => {
-                let sel = self.stub.sel_core as usize;
+                let sel = self.plat.stub.sel_core as usize;
                 if index < 32 {
                     let reg = hx_cpu::Reg::new(index).unwrap();
                     self.machine.core_mut(sel).set_reg(reg, value);
@@ -1279,7 +676,7 @@ impl LvmmPlatform {
                 }
                 // Mask planted breakpoints: the host sees the original
                 // instructions, not the stub's `ebreak` patches.
-                for (&bp, &orig) in &self.stub.breakpoints {
+                for (&bp, &orig) in &self.plat.stub.breakpoints {
                     for k in 0..4u32 {
                         let va = bp.wrapping_add(k);
                         let off = va.wrapping_sub(addr);
@@ -1303,7 +700,7 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::SetBreakpoint { addr } => {
-                if self.stub.breakpoints.contains_key(&addr) {
+                if self.plat.stub.breakpoints.contains_key(&addr) {
                     return Reply::Error(err::BP);
                 }
                 let Some(pa) = self.sel_translate(addr) else {
@@ -1321,14 +718,14 @@ impl LvmmPlatform {
                     return Reply::Error(err::MEM);
                 }
                 self.machine.cpu.tlb_flush();
-                self.stub.breakpoints.insert(addr, orig);
+                self.plat.stub.breakpoints.insert(addr, orig);
                 Reply::Ok
             }
             Command::ClearBreakpoint { addr } => {
-                let Some(orig) = self.stub.breakpoints.remove(&addr) else {
+                let Some(orig) = self.plat.stub.breakpoints.remove(&addr) else {
                     return Reply::Error(err::BP);
                 };
-                self.stub.bp_conds.remove(&addr);
+                self.plat.stub.bp_conds.remove(&addr);
                 if let Some(pa) = self.debug_translate(addr) {
                     let _ = self.machine.mem.write(pa, orig, MemSize::Word);
                 }
@@ -1338,7 +735,7 @@ impl LvmmPlatform {
                 if len == 0 {
                     return Reply::Error(err::PARSE);
                 }
-                self.stub.watchpoints.push(Watchpoint {
+                self.plat.stub.watchpoints.push(Watchpoint {
                     addr,
                     len,
                     kind,
@@ -1351,9 +748,9 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::ClearWatchpoint { addr } => {
-                let before = self.stub.watchpoints.len();
-                self.stub.watchpoints.retain(|w| w.addr != addr);
-                if self.stub.watchpoints.len() == before {
+                let before = self.plat.stub.watchpoints.len();
+                self.plat.stub.watchpoints.retain(|w| w.addr != addr);
+                if self.plat.stub.watchpoints.len() == before {
                     return Reply::Error(err::BP);
                 }
                 self.shadow.flush_all(&mut self.machine.mem);
@@ -1362,12 +759,12 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::SetBreakCondition { addr, expr } => {
-                if !self.stub.breakpoints.contains_key(&addr) {
+                if !self.plat.stub.breakpoints.contains_key(&addr) {
                     return Reply::Error(err::BP);
                 }
                 match Expr::parse(&expr) {
                     Ok(e) => {
-                        self.stub.bp_conds.insert(addr, e);
+                        self.plat.stub.bp_conds.insert(addr, e);
                         Reply::Ok
                     }
                     Err(_) => Reply::Error(err::QUERY),
@@ -1378,7 +775,7 @@ impl LvmmPlatform {
                     return Reply::Error(err::QUERY);
                 };
                 let mut any = false;
-                for w in &mut self.stub.watchpoints {
+                for w in &mut self.plat.stub.watchpoints {
                     if w.addr == addr {
                         w.cond = Some(e.clone());
                         any = true;
@@ -1410,7 +807,7 @@ impl LvmmPlatform {
                 }
             }
             Command::QueryFirst { expr } => {
-                if !self.stub.stopped {
+                if !self.plat.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
                 match Expr::parse(&expr) {
@@ -1419,22 +816,22 @@ impl LvmmPlatform {
                 }
             }
             Command::Step => {
-                if !self.stub.stopped {
+                if !self.plat.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
                 self.arm_resume(StepIntent::Step);
                 Reply::Ok
             }
             Command::Continue => {
-                if !self.stub.stopped {
+                if !self.plat.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
                 let pc = self.machine.cpu.pc();
-                if self.stub.breakpoints.contains_key(&pc) {
+                if self.plat.stub.breakpoints.contains_key(&pc) {
                     // Step over the breakpoint we are parked on, then run.
                     self.arm_resume(StepIntent::Resume);
                 } else {
-                    self.stub.stopped = false;
+                    self.plat.stub.stopped = false;
                     self.state = RunState::Running;
                     self.machine.pause_faults(false);
                     self.sync_tf();
@@ -1448,7 +845,7 @@ impl LvmmPlatform {
                 self.cur_core = 0;
                 let mut cpu = hx_cpu::Cpu::new();
                 cpu.set_mode(Mode::User);
-                cpu.set_pc(self.entry);
+                cpu.set_pc(self.plat.entry);
                 cpu.write_csr(Csr::Status, Status::IE);
                 self.machine.cpu = cpu;
                 self.vcpu = VCpu::new();
@@ -1469,31 +866,33 @@ impl LvmmPlatform {
                     c.write_csr(Csr::Ptbr, root);
                     *self.machine.core_mut(i) = c;
                 }
-                self.stub.lifted_bp = None;
-                self.stub.step_intent = None;
-                self.stub_stop(StopReason::Halted { pc: self.entry });
+                self.plat.stub.lifted_bp = None;
+                self.plat.stub.step_intent = None;
+                self.stub_stop(StopReason::Halted {
+                    pc: self.plat.entry,
+                });
                 Reply::Ok
             }
             Command::ReverseStep => {
-                if !self.stub.stopped {
+                if !self.plat.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
-                let Some(fr) = self.flight.as_deref() else {
+                let Some(fr) = self.plat.flight.as_deref() else {
                     return Reply::Error(err::RECORDER);
                 };
                 self.seek_to(fr.last_instr_at)
             }
             Command::ReverseContinue => {
-                if !self.stub.stopped {
+                if !self.plat.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
-                let Some(fr) = self.flight.as_deref() else {
+                let Some(fr) = self.plat.flight.as_deref() else {
                     return Reply::Error(err::RECORDER);
                 };
                 // Anchor on the cycle of the stop we are parked at (`now`
                 // keeps advancing while stopped), then rewind to the
                 // latest stop strictly before it.
-                let anchor = match self.stub.last_stop {
+                let anchor = match self.plat.stub.last_stop {
                     Some(StopReason::TimeTravel { cycle, .. }) => cycle,
                     _ => fr
                         .stop_history
@@ -1513,7 +912,7 @@ impl LvmmPlatform {
                 }
             }
             Command::Seek { cycle } => {
-                if !self.stub.stopped {
+                if !self.plat.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
                 self.seek_to(cycle)
@@ -1614,7 +1013,7 @@ impl LvmmPlatform {
     /// Unconditional breakpoints and unevaluable conditions stop — fail
     /// safe.
     fn bp_condition_holds(&mut self, pc: u32) -> bool {
-        let Some(cond) = self.stub.bp_conds.get(&pc).cloned() else {
+        let Some(cond) = self.plat.stub.bp_conds.get(&pc).cloned() else {
             return true;
         };
         cond.eval(self).is_none_or(|v| v != 0)
@@ -1648,7 +1047,7 @@ impl LvmmPlatform {
     /// recording. A miss replays back to the original cycle (state
     /// byte-identical) and reports `found = 0`.
     fn query_first(&mut self, expr: &Expr) -> Reply {
-        let Some(fr) = self.flight.as_deref() else {
+        let Some(fr) = self.plat.flight.as_deref() else {
             return Reply::Error(err::RECORDER);
         };
         if fr.replaying {
@@ -1658,10 +1057,10 @@ impl LvmmPlatform {
             return Reply::Error(err::RECORDER);
         };
         let original = self.machine.now();
-        let fr = self.flight.as_deref().expect("checked above");
+        let fr = self.plat.flight.as_deref().expect("checked above");
         let restore_at = fr.checkpoints.iter().next().map_or(original, |c| c.at);
 
-        let fr = self.flight.as_mut().expect("checked above");
+        let fr = self.plat.flight.as_mut().expect("checked above");
         let Some(cp) = fr.checkpoints.nearest_at_or_before(restore_at) else {
             return Reply::Error(err::RECORDER);
         };
@@ -1670,7 +1069,7 @@ impl LvmmPlatform {
         fr.checkpoints.truncate_after(cp_at);
         fr.stop_history.retain(|&c| c <= cp_at);
         self.restore(snap);
-        self.flight.as_mut().expect("checked above").replaying = true;
+        self.plat.flight.as_mut().expect("checked above").replaying = true;
         let mut cursor = ReplayCursor::new(&journal);
         let done = self.machine.obs.journal().map_or(0, |j| j.inputs.len());
         cursor.skip_first(done);
@@ -1697,7 +1096,7 @@ impl LvmmPlatform {
         // Stub replies regenerated during the re-run were already delivered
         // on the original timeline; the host must not see them twice.
         let _ = self.machine.uart_output();
-        self.flight.as_mut().expect("checked above").replaying = false;
+        self.plat.flight.as_mut().expect("checked above").replaying = false;
         let pc = self.machine.cpu.pc();
         let cycle = self.machine.now();
         self.stub_stop(StopReason::TimeTravel { pc, cycle });
@@ -1717,30 +1116,18 @@ impl LvmmPlatform {
     /// and resumes the guest.
     fn arm_resume(&mut self, intent: StepIntent) {
         let pc = self.machine.cpu.pc();
-        if self.stub.breakpoints.contains_key(&pc) {
+        if self.plat.stub.breakpoints.contains_key(&pc) {
             if let Some(pa) = self.debug_translate(pc) {
-                let orig = self.stub.breakpoints[&pc];
+                let orig = self.plat.stub.breakpoints[&pc];
                 let _ = self.machine.mem.write(pa, orig, MemSize::Word);
-                self.stub.lifted_bp = Some(pc);
+                self.plat.stub.lifted_bp = Some(pc);
             }
         }
-        self.stub.step_intent = Some(intent);
-        self.stub.stopped = false;
+        self.plat.stub.step_intent = Some(intent);
+        self.plat.stub.stopped = false;
         self.state = RunState::Running;
         self.machine.pause_faults(false);
         self.sync_tf();
-    }
-
-    /// Translates a guest virtual address for debugger access: guest page
-    /// tables are honoured but permission bits are not (the debugger may
-    /// read execute-only pages). Only guest RAM is reachable. Uses the
-    /// *active* core's address space (breakpoint replants, conditions).
-    fn debug_translate(&mut self, va: u32) -> Option<u32> {
-        let root = self
-            .vcpu
-            .paging_enabled()
-            .then(|| self.vcpu.page_table_root());
-        self.translate_for_debug(root, va)
     }
 
     /// [`Self::debug_translate`] through the `Hg`-selected core's address
@@ -1753,69 +1140,12 @@ impl LvmmPlatform {
 
     /// The `Hg`-selected core's virtual CPU.
     fn sel_vcpu(&self) -> &VCpu {
-        let sel = self.stub.sel_core as usize;
+        let sel = self.plat.stub.sel_core as usize;
         if sel == self.cur_core {
             &self.vcpu
         } else {
             &self.vcpus[sel]
         }
-    }
-
-    fn translate_for_debug(&mut self, paging_root: Option<u32>, va: u32) -> Option<u32> {
-        let gpa = if let Some(root) = paging_root {
-            let l1_addr = root + hx_cpu::mmu::l1_index(va) * 4;
-            if l1_addr + 4 > self.monitor_base {
-                return None;
-            }
-            let l1e = self.machine.mem.read(l1_addr, MemSize::Word).ok()?;
-            if l1e & pte::V == 0 || l1e & (pte::R | pte::W | pte::X) != 0 {
-                return None;
-            }
-            let l2_addr = (l1e & pte::PPN_MASK) + hx_cpu::mmu::l2_index(va) * 4;
-            if l2_addr + 4 > self.monitor_base {
-                return None;
-            }
-            let leaf = self.machine.mem.read(l2_addr, MemSize::Word).ok()?;
-            if leaf & pte::V == 0 {
-                return None;
-            }
-            (leaf & pte::PPN_MASK) | (va & PAGE_MASK)
-        } else {
-            va
-        };
-        (gpa < self.monitor_base).then_some(gpa)
-    }
-
-    // ------------------------------------------------------------------
-    // Run states
-    // ------------------------------------------------------------------
-
-    fn step_impl(&mut self, batch: bool) -> PlatformStep {
-        self.maybe_checkpoint();
-        match self.state {
-            RunState::Running => self.guest_step(batch),
-            RunState::GuestIdle => self.guest_idle_step(),
-            RunState::Stopped => self.stopped_step(),
-        }
-    }
-
-    fn stopped_step(&mut self) -> PlatformStep {
-        // While stopped the monitor polls its UART; device events keep
-        // firing (real time does not stop for the debugger).
-        if self.machine.uart.rx_pending() == 0 {
-            if self.machine.pending_events() == 0 {
-                // Nothing will happen until the host sends bytes; advance a
-                // polling quantum so the host's pump loop sees progress.
-                self.machine.consume(costs::STUB_POLL);
-                self.charge(TimeBucket::Idle, costs::STUB_POLL);
-            } else {
-                self.machine.consume(costs::STUB_POLL);
-                self.charge(TimeBucket::Idle, costs::STUB_POLL);
-            }
-            return PlatformStep::Running;
-        }
-        self.service_uart();
-        PlatformStep::Running
     }
 }
 
@@ -1850,75 +1180,6 @@ impl hx_query::EvalCtx for LvmmPlatform {
             v |= (b & 0xff) << (8 * i);
         }
         Some(v)
-    }
-}
-
-impl ExitPolicy for LvmmPlatform {
-    fn mach(&self) -> &Machine {
-        &self.machine
-    }
-
-    fn mach_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    fn time_stats_mut(&mut self) -> &mut TimeStats {
-        &mut self.stats
-    }
-
-    fn handle_trap(&mut self, trap: Trap) {
-        self.dispatch_trap(trap);
-    }
-
-    fn handle_interrupt(&mut self, irq: u8, _vector: u8) {
-        self.sync_core();
-        if irq >= smp::IRQ_BASE {
-            self.handle_ipi(irq - smp::IRQ_BASE);
-        } else {
-            self.handle_real_irq(irq);
-        }
-    }
-
-    /// Remembers the boundary cycle at which the latest guest instruction
-    /// started — seeking there lands *before* that instruction executes,
-    /// which is what `reverse-step` wants (e.g. parked on the faulting
-    /// store, one instant before the damage).
-    fn on_instr_boundary(&mut self, at: u64) {
-        if let Some(fr) = &mut self.flight {
-            fr.last_instr_at = at;
-        }
-    }
-}
-
-impl Platform for LvmmPlatform {
-    fn name(&self) -> &'static str {
-        "lvmm"
-    }
-
-    fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    fn time_stats(&self) -> &TimeStats {
-        &self.stats
-    }
-
-    fn step(&mut self) -> PlatformStep {
-        // The flight recorder needs per-instruction boundaries (its
-        // `reverse-step` anchor and checkpoint cadence), and so do the
-        // profiler (its PC attribution anchor) and armed logpoints;
-        // batching is only enabled when all are off.
-        let batch =
-            self.flight.is_none() && !self.machine.obs.profiling() && !self.machine.has_logpoints();
-        self.step_impl(batch)
-    }
-
-    fn step_precise(&mut self) -> PlatformStep {
-        self.step_impl(false)
     }
 }
 

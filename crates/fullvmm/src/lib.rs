@@ -6,9 +6,9 @@
 //! paper's own reference \[2\]):
 //!
 //! * The guest kernel is deprivileged and shadow-paged exactly like under
-//!   the lightweight monitor (this crate reuses `lvmm`'s virtual CPU and
-//!   shadow pager — the two monitors differ in *device policy*, not in CPU
-//!   virtualization).
+//!   the lightweight monitor: both run `lvmm`'s shared `MonitorCore`, and
+//!   differ only in its cost table, device policy and debug attachment —
+//!   not in CPU virtualization.
 //! * **Every** device page is emulated. The disk controller and the NIC —
 //!   passthrough under the lightweight monitor — are full software models
 //!   here ([`vdev`]), so every register access the guest driver makes is a
@@ -45,7 +45,7 @@ pub mod costs;
 pub mod platform;
 pub mod vdev;
 
-pub use platform::{HostedConfig, HostedPlatform, HostedStats};
+pub use platform::{HostedPlatform, HOST_MEM};
 
 /// Compile-time proof the hosted monitor stays [`Send`] — the debug farm
 /// schedules hosted guests onto worker threads like any other platform.

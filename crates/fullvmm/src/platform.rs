@@ -1,117 +1,64 @@
 //! `HostedPlatform`: the guest under the hosted full monitor.
 //!
-//! CPU virtualization (ring compression, virtual CSRs, shadow paging) is
-//! identical to the lightweight monitor — those components are reused from
-//! the `lvmm` crate. The difference is device policy: **nothing** is passed
-//! through. Every device page the guest touches is emulated, and disk/NIC
-//! data is relayed through the modeled host OS with world switches, host
-//! stack costs and extra copies ([`crate::costs`]).
+//! CPU virtualization (ring compression, virtual CSRs, shadow paging) is the
+//! lightweight monitor's: both run the shared [`MonitorCore`] from the
+//! `lvmm` crate. The difference is the device-policy seam: **nothing** is
+//! passed through. Every device page the guest touches is emulated, and
+//! disk/NIC data is relayed through the modeled host OS with world
+//! switches, host stack costs and extra copies ([`crate::costs`]). There is
+//! no debug stub.
 
 use crate::costs;
 use crate::vdev::{VDisk, VNic, DISK_BOUNCE_SECTORS, HOST_BUF_SIZE, HOST_RING_LEN};
-use hx_cpu::csr::{Csr, Status};
-use hx_cpu::isa::{Instr, LoadKind, StoreKind, SysOp};
-use hx_cpu::mmu::{pte, Access, PAGE_MASK};
-use hx_cpu::trap::{Cause, Trap};
-use hx_cpu::{MemSize, Mode};
-use hx_machine::engine::{ExitPolicy, ProgressGuard};
+use hx_cpu::MemSize;
+use hx_machine::engine::ExitPolicy;
 use hx_machine::platform::PlatformStep;
-use hx_machine::{map, smp, Machine, Platform, TimeBucket, TimeStats};
-use hx_obs::{EventKind, ExitCause, HostPhase};
-use lvmm::chipset::VChipset;
-use lvmm::shadow::{classify, guest_walk, GuestWalkErr, PageClass, ShadowPager};
-use lvmm::vcpu::VCpu;
+use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
+use hx_obs::ExitCause;
+use lvmm::shadow::{classify, PageClass};
+use lvmm::{Costs, MonitorCore, MonitorStats, Seams, VCpu, MONITOR_MEM};
 
-/// Hosted-monitor configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostedConfig {
-    /// RAM reserved for the monitor + host OS model (shadow tables, bounce
-    /// buffers, host device rings).
-    pub host_mem: u32,
-}
+/// Bytes of RAM reserved at the top of memory for the monitor and the host
+/// OS model: the shadow-table pool, then bounce buffers and host device
+/// rings.
+pub const HOST_MEM: u32 = 4 * 1024 * 1024;
 
-impl Default for HostedConfig {
-    fn default() -> Self {
-        HostedConfig {
-            host_mem: 4 * 1024 * 1024,
-        }
-    }
-}
-
-/// Exit and relay counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HostedStats {
-    /// Privileged-instruction emulations.
-    pub exits_privileged: u64,
-    /// Emulated device-register accesses (every device!).
-    pub exits_mmio: u64,
-    /// Shadow fills.
-    pub exits_shadow: u64,
-    /// Real interrupts taken by the monitor/host.
-    pub exits_irq: u64,
-    /// Virtual interrupts injected into the guest.
-    pub irqs_injected: u64,
-    /// Guest faults re-injected.
-    pub faults_injected: u64,
-    /// World switches performed by the host relay (derived from costs).
-    pub host_relay_ops: u64,
-    /// Protection violations blocked.
-    pub protection_violations: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunState {
-    Running,
-    GuestIdle,
-}
-
-/// The hosted full-VMM platform (see the [module docs](self)).
+/// The hosted monitor's platform part: the virtual disk and NIC models
+/// behind the host relay.
 #[derive(Debug)]
-pub struct HostedPlatform {
-    machine: Machine,
-    vcpu: VCpu,
-    /// Seat storage for every core's virtual CPU (`vcpus[cur_core]` holds a
-    /// stale placeholder while that core's state is in `self.vcpu`).
-    vcpus: Vec<VCpu>,
-    /// The core whose virtual CPU is in `self.vcpu`.
-    cur_core: usize,
-    /// Per-core pending virtual-IPI line masks.
-    vipi: Vec<u8>,
-    shadow: ShadowPager,
-    chipset: VChipset,
+pub struct Hosted {
     vdisk: VDisk,
     vnic: VNic,
-    stats: TimeStats,
-    hstats: HostedStats,
-    state: RunState,
-    monitor_base: u32,
-    ram_size: u32,
-    progress: ProgressGuard,
+    /// Device operations relayed through the modeled host OS.
+    relay_ops: u64,
 }
 
-impl HostedPlatform {
-    /// Installs the hosted monitor and prepares the guest to boot at
-    /// `entry` (image already loaded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if RAM is too small for the host region.
-    pub fn new(machine: Machine, entry: u32) -> HostedPlatform {
-        Self::with_config(machine, entry, HostedConfig::default())
+/// Charges `cycles` of modeled host-OS work for one relayed device
+/// operation.
+fn consume_host(core: &mut MonitorCore<Hosted>, cycles: u64) {
+    if cycles > 0 {
+        core.consume(TimeBucket::HostModel, cycles);
+        core.plat.relay_ops += 1;
+        // Every relay op is one `host-relay` histogram entry: the cost of
+        // bouncing a device operation through the modeled host OS.
+        core.record_exit(ExitCause::HostRelay, cycles);
     }
+}
 
-    /// [`HostedPlatform::new`] with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if RAM is too small for the host region.
-    pub fn with_config(mut machine: Machine, entry: u32, cfg: HostedConfig) -> HostedPlatform {
+impl Seams for Hosted {
+    const NAME: &'static str = "hosted";
+    const COSTS: Costs = Costs {
+        exit_base: costs::EXIT_BASE,
+        reflect_irq: 0,
+        emul_dev_reg: costs::EMUL_DEV_REG,
+        monitor_mem: HOST_MEM,
+    };
+
+    fn attach(machine: &mut Machine, monitor_base: u32, _entry: u32) -> (Self, u32) {
+        // Host memory layout: a shadow pool the size of the lightweight
+        // monitor's whole region, then the bounce/ring area.
         let ram_size = machine.config().ram_size as u32;
-        assert!(cfg.host_mem < ram_size, "host region exceeds RAM");
-        let monitor_base = ram_size - cfg.host_mem;
-
-        // Host memory layout: shadow pool, then bounce/ring area.
-        let shadow_end = monitor_base + 2 * 1024 * 1024;
+        let shadow_end = monitor_base + MONITOR_MEM;
         assert!(shadow_end < ram_size, "host region too small");
         let mut cursor = shadow_end;
         let mut take = |bytes: u32| {
@@ -127,614 +74,167 @@ impl HostedPlatform {
         ];
         let host_ring = take(HOST_RING_LEN * 16);
         let host_bufs = take(HOST_RING_LEN * HOST_BUF_SIZE);
-
-        let mut shadow = ShadowPager::new(monitor_base, shadow_end);
-        machine.cpu.set_mode(Mode::User);
-        machine.cpu.set_pc(entry);
-        machine.cpu.write_csr(Csr::Status, Status::IE);
-        let root = shadow.root_for(&mut machine.mem, 0, Mode::Supervisor);
-        machine.cpu.write_csr(Csr::Ptbr, root | 1);
-        // Secondary cores boot deprivileged behind the same identity
-        // shadow; the startup IPI gives them their PC.
-        let cores = machine.num_cores();
-        for i in 1..cores {
-            let c = machine.core_mut(i);
-            c.set_mode(Mode::User);
-            c.write_csr(Csr::Status, Status::IE);
-            c.write_csr(Csr::Ptbr, root | 1);
-        }
-
-        let vnic = VNic::new(&mut machine, host_ring, host_bufs);
-        HostedPlatform {
-            machine,
-            vcpu: VCpu::new(),
-            vcpus: vec![VCpu::new(); cores],
-            cur_core: 0,
-            vipi: vec![0; cores],
-            shadow,
-            chipset: VChipset::new(),
+        let plat = Hosted {
             vdisk: VDisk::new(disk_bounce),
-            vnic,
-            stats: TimeStats::new(),
-            hstats: HostedStats::default(),
-            state: RunState::Running,
-            monitor_base,
-            ram_size,
-            progress: ProgressGuard::new(),
+            vnic: VNic::new(machine, host_ring, host_bufs),
+            relay_ops: 0,
+        };
+        (plat, shadow_end)
+    }
+
+    /// The defining property of the hosted monitor: *all* devices are
+    /// emulated, including the high-throughput ones.
+    fn classify(gpa: u32, monitor_base: u32, ram_size: u32) -> PageClass {
+        match classify(gpa, monitor_base, ram_size) {
+            PageClass::PassthroughMmio => PageClass::EmulatedMmio,
+            class => class,
         }
     }
 
-    /// Monitor/host counters.
-    pub fn hosted_stats(&self) -> HostedStats {
-        self.hstats
+    fn mmio_read(core: &mut MonitorCore<Self>, page: u32, offset: u32) -> Option<u32> {
+        Some(match page {
+            map::HDC_BASE => {
+                let (v, host) = core.plat.vdisk.read_reg(offset);
+                consume_host(core, host);
+                v
+            }
+            map::NIC_BASE => core.plat.vnic.read_reg(offset),
+            // Tracepoint registers read as zero everywhere; route through
+            // the machine bus so raw and hosted agree.
+            map::TRACE_BASE => core
+                .machine
+                .bus_read(page + offset, MemSize::Word)
+                .unwrap_or_default(),
+            _ => return None,
+        })
     }
 
-    /// The guest's virtual CPU (tests/diagnostics).
-    pub fn vcpu(&self) -> &VCpu {
-        &self.vcpu
+    fn mmio_write(core: &mut MonitorCore<Self>, page: u32, offset: u32, val: u32) -> bool {
+        let host = match page {
+            map::HDC_BASE => core.plat.vdisk.write_reg(&mut core.machine, offset, val),
+            map::NIC_BASE => core.plat.vnic.write_reg(&mut core.machine, offset, val),
+            // Tracepoint store: forward to the machine bus, where the
+            // causal/journal hooks live, so guest tracepoints behave
+            // identically on all three platforms.
+            map::TRACE_BASE => {
+                let _ = core.machine.bus_write(page + offset, val, MemSize::Word);
+                0
+            }
+            _ => return false,
+        };
+        consume_host(core, host);
+        true
     }
 
-    /// Frames the virtual NIC relayed to the wire.
-    pub fn relayed_tx_frames(&self) -> u64 {
-        self.vnic.tx_frames
+    fn route_irq(core: &mut MonitorCore<Self>, irq: u8) -> bool {
+        match irq {
+            map::irq::PIT => true,
+            map::irq::UART => {
+                // No debug stub in the hosted monitor: the host consumes
+                // its own serial traffic.
+                while core.machine.uart.pop_rx().is_some() {}
+                false
+            }
+            map::irq::HDC0 | map::irq::HDC1 | map::irq::HDC2 => {
+                let unit = (irq - map::irq::HDC0) as usize;
+                let (done, host) = core.plat.vdisk.on_host_complete(&mut core.machine, unit);
+                consume_host(core, host);
+                done
+            }
+            map::irq::NIC_TX => {
+                let (raise, host) = core.plat.vnic.on_host_tx_complete(&mut core.machine);
+                consume_host(core, host);
+                raise
+            }
+            // Host-side receive has nothing to relay in this model (frames
+            // enter via `inject_rx`).
+            _ => false,
+        }
     }
 
     /// Injects a frame from the outside world into the guest's virtual RX
     /// ring via the host model.
-    pub fn inject_guest_rx(&mut self, frame: &[u8]) {
+    fn inject_rx(core: &mut MonitorCore<Self>, frame: &[u8]) {
         // This path bypasses `Machine::nic_inject_rx` (frames enter through
         // the host model, not the passthrough NIC), so it must journal the
         // nondeterministic input itself.
-        if self.machine.obs.journaling() {
-            let now = self.machine.now();
-            self.machine
+        if core.machine.obs.journaling() {
+            let now = core.machine.now();
+            core.machine
                 .obs
                 .journal_input(now, hx_obs::JournalInput::NicRx(frame.to_vec()));
         }
-        let (ok, host) = self.vnic.deliver_rx(&mut self.machine, frame);
-        self.consume_host(host);
+        let (ok, host) = core.plat.vnic.deliver_rx(&mut core.machine, frame);
+        consume_host(core, host);
         if ok {
-            self.chipset.vpic.assert_irq(map::irq::NIC_RX);
-            self.maybe_inject_irq();
-        }
-    }
-
-    fn consume_monitor(&mut self, cycles: u64) {
-        self.consume(TimeBucket::Monitor, cycles);
-    }
-
-    fn consume_host(&mut self, cycles: u64) {
-        if cycles > 0 {
-            self.consume(TimeBucket::HostModel, cycles);
-            self.hstats.host_relay_ops += 1;
-            // Every relay op is one `host-relay` histogram entry: the cost
-            // of bouncing a device operation through the modeled host OS.
-            self.record_exit(ExitCause::HostRelay, cycles);
-        }
-    }
-
-    fn shadow_key(&self) -> u32 {
-        if self.vcpu.paging_enabled() {
-            self.vcpu.ptbr
-        } else {
-            0
-        }
-    }
-
-    fn activate_shadow(&mut self) {
-        let key = self.shadow_key();
-        let root = self
-            .shadow
-            .root_for(&mut self.machine.mem, key, self.vcpu.vmode);
-        self.machine.cpu.write_csr(Csr::Ptbr, root | 1);
-    }
-
-    fn inject_guest_trap(&mut self, cause: Cause, epc: u32, tval: u32) {
-        let vcause = self.vcpu.virtual_cause(cause);
-        let handler = self.vcpu.enter_trap(vcause, epc, tval);
-        self.activate_shadow();
-        self.machine.cpu.set_pc(handler);
-        self.consume_monitor(lvmm::costs::INJECT_TRAP);
-        self.hstats.faults_injected += 1;
-    }
-
-    /// Aligns the monitor's per-core virtual CPU with the machine's active
-    /// core (see the lvmm implementation for the scheme). No-op on
-    /// single-core.
-    fn sync_core(&mut self) {
-        let active = self.machine.active_core();
-        if active == self.cur_core {
-            return;
-        }
-        let prev = self.cur_core;
-        std::mem::swap(&mut self.vcpu, &mut self.vcpus[prev]);
-        std::mem::swap(&mut self.vcpu, &mut self.vcpus[active]);
-        self.cur_core = active;
-        self.activate_shadow();
-    }
-
-    /// Re-latches a consumed real IPI as a virtual one for the active core.
-    fn handle_ipi(&mut self, line: u8) {
-        self.consume_monitor(costs::EXIT_BASE);
-        self.record_exit(ExitCause::IrqReflect, costs::EXIT_BASE);
-        self.hstats.exits_irq += 1;
-        self.vipi[self.cur_core] |= 1 << line;
-        self.maybe_inject_irq();
-    }
-
-    fn maybe_inject_irq(&mut self) {
-        if !self.vcpu.interrupts_enabled() {
-            return;
-        }
-        // Virtual IPIs outrank the virtual PIC; the PIC wires to core 0.
-        let pending = self.vipi[self.cur_core];
-        if pending != 0 {
-            let line = pending.trailing_zeros() as u8;
-            self.vipi[self.cur_core] &= !(1 << line);
-            let epc = self.machine.cpu.pc();
-            let vector = smp::VECTOR_BASE + line;
-            let handler = self.vcpu.enter_trap(Cause::Interrupt, epc, vector as u32);
-            self.activate_shadow();
-            self.machine.cpu.set_pc(handler);
-            self.consume_monitor(lvmm::costs::INJECT_TRAP);
-            self.record_exit(ExitCause::IrqInject, lvmm::costs::INJECT_TRAP);
-            self.hstats.irqs_injected += 1;
-            self.machine.wake_core(self.cur_core);
-            self.state = RunState::Running;
-            return;
-        }
-        if self.cur_core != 0 {
-            return;
-        }
-        if let Some((irq, vector)) = self.chipset.vpic.inta() {
-            {
-                let now = self.machine.now();
-                self.machine.obs.prof_irq_entry(irq as u32, now);
-                // Virtual-PIC INTA = guest ISR entry: close the causal
-                // dispatch flow here, not at the monitor's receipt.
-                self.machine.obs.inta(now, irq as u32);
-            }
-            let epc = self.machine.cpu.pc();
-            let handler = self.vcpu.enter_trap(Cause::Interrupt, epc, vector as u32);
-            self.activate_shadow();
-            self.machine.cpu.set_pc(handler);
-            self.consume_monitor(lvmm::costs::INJECT_TRAP);
-            self.record_exit(ExitCause::IrqInject, lvmm::costs::INJECT_TRAP);
-            self.hstats.irqs_injected += 1;
-            if self.machine.num_cores() > 1 {
-                self.machine.wake_core(0);
-            }
-            self.state = RunState::Running;
-        }
-    }
-
-    fn dispatch_trap(&mut self, trap: Trap) {
-        self.sync_core();
-        // Attribute the monitor cycles of this exit to one cause (see the
-        // lvmm dispatcher for the scheme; the window check accounts itself).
-        let monitor_before = self.stats.monitor;
-        let cause = match trap.cause {
-            Cause::PrivilegedInstruction => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.hstats.exits_privileged += 1;
-                self.emulate_privileged(trap);
-                ExitCause::Privileged
-            }
-            Cause::InstrPageFault | Cause::LoadPageFault | Cause::StorePageFault => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.handle_shadow_fault(trap)
-            }
-            other => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.inject_guest_trap(other, trap.epc, trap.tval);
-                ExitCause::IrqInject
-            }
-        };
-        let delta = self.stats.monitor - monitor_before;
-        self.record_exit(cause, delta);
-        self.maybe_inject_irq();
-    }
-
-    fn emulate_privileged(&mut self, trap: Trap) {
-        let pc = trap.epc;
-        let Ok(instr) = Instr::decode(trap.tval) else {
-            self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-            return;
-        };
-        match instr {
-            Instr::Csr { op, rd, rs1, csr } => {
-                self.consume_monitor(lvmm::costs::EMUL_CSR);
-                let Some(c) = Csr::from_number(csr) else {
-                    self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-                    return;
-                };
-                let old = self.vcpu.read_csr(c, &self.machine.cpu);
-                let writes = match op {
-                    hx_cpu::isa::CsrOp::Rw => true,
-                    _ => rs1 != hx_cpu::Reg::R0,
-                };
-                if writes {
-                    if c.is_read_only() {
-                        self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-                        return;
-                    }
-                    let src = self.machine.cpu.reg(rs1);
-                    let new = match op {
-                        hx_cpu::isa::CsrOp::Rw => src,
-                        hx_cpu::isa::CsrOp::Rs => old | src,
-                        hx_cpu::isa::CsrOp::Rc => old & !src,
-                    };
-                    let sensitive = self.vcpu.write_csr(c, new);
-                    if c == Csr::Ptbr && sensitive {
-                        self.consume_monitor(lvmm::costs::SHADOW_FLUSH);
-                        self.activate_shadow();
-                    }
-                }
-                self.machine.cpu.set_reg(rd, old);
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-            }
-            Instr::Sys { op: SysOp::Tret } => {
-                self.consume_monitor(lvmm::costs::EMUL_TRET);
-                let resume = self.vcpu.leave_trap();
-                self.activate_shadow();
-                self.machine.cpu.set_pc(resume);
-            }
-            Instr::Sys { op: SysOp::Wfi } => {
-                self.consume_monitor(lvmm::costs::EMUL_WFI);
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-                if self.machine.num_cores() > 1 {
-                    // Park just this core; the scheduler keeps siblings
-                    // running.
-                    self.machine.park_active();
-                } else {
-                    self.state = RunState::GuestIdle;
-                }
-            }
-            Instr::Sys {
-                op: SysOp::TlbFlush,
-            } => {
-                self.consume_monitor(lvmm::costs::SHADOW_FLUSH);
-                let key = self.shadow_key();
-                self.shadow.flush_context(&mut self.machine.mem, key);
-                self.machine.cpu.tlb_flush();
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-            }
-            _ => self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval),
-        }
-    }
-
-    fn handle_shadow_fault(&mut self, trap: Trap) -> ExitCause {
-        let va = trap.tval;
-        let access = Access::from_fault(trap.cause);
-        let vmode = self.vcpu.vmode;
-        {
-            let now = self.machine.now();
-            self.machine
-                .obs
-                .event(now, EventKind::ShadowFault { vaddr: va });
-        }
-        let (gpa, gflags) = if self.vcpu.paging_enabled() {
-            let root = self.vcpu.page_table_root();
-            match guest_walk(
-                &mut self.machine.mem,
-                root,
-                va,
-                access,
-                vmode,
-                self.monitor_base,
-                true,
-            ) {
-                Ok(w) => (w.gpa, w.pte),
-                Err(GuestWalkErr::GuestFault) => {
-                    self.inject_guest_trap(trap.cause, trap.epc, va);
-                    return ExitCause::Shadow;
-                }
-                Err(GuestWalkErr::BadTable) => {
-                    self.hstats.protection_violations += 1;
-                    self.inject_guest_trap(trap.cause, trap.epc, va);
-                    return ExitCause::Protection;
-                }
-            }
-        } else {
-            (
-                va,
-                pte::V | pte::R | pte::W | pte::X | pte::U | pte::A | pte::D,
-            )
-        };
-
-        match classify(gpa, self.monitor_base, self.ram_size) {
-            PageClass::Monitor => {
-                self.hstats.protection_violations += 1;
-                self.inject_guest_trap(trap.cause, trap.epc, va);
-                ExitCause::Protection
-            }
-            PageClass::Unmapped => {
-                self.inject_guest_trap(access.fault_cause(), trap.epc, va);
-                ExitCause::Shadow
-            }
-            // The defining property of the hosted monitor: *all* devices
-            // are emulated, including the high-throughput ones.
-            PageClass::EmulatedMmio | PageClass::PassthroughMmio => {
-                self.hstats.exits_mmio += 1;
-                self.emulate_mmio(trap, va, gpa, access);
-                ExitCause::Mmio
-            }
-            PageClass::GuestRam => {
-                // The guard applies only to fill paths; emulated-MMIO faults
-                // legitimately repeat at the same PC.
-                if self.progress.no_progress(&trap) {
-                    // Unrecoverable: surface to the guest's own handler.
-                    self.inject_guest_trap(trap.cause, trap.epc, trap.tval);
-                    self.progress.reset();
-                    return ExitCause::Shadow;
-                }
-                self.hstats.exits_shadow += 1;
-                self.consume_monitor(lvmm::costs::SHADOW_FILL);
-                let mut flags = pte::V | pte::U | pte::A | pte::D;
-                if gflags & pte::R != 0 {
-                    flags |= pte::R;
-                }
-                if gflags & pte::X != 0 {
-                    flags |= pte::X;
-                }
-                if gflags & pte::W != 0 && gflags & pte::D != 0 {
-                    flags |= pte::W;
-                }
-                let key = self.shadow_key();
-                self.shadow.map(
-                    &mut self.machine.mem,
-                    key,
-                    vmode,
-                    va & !PAGE_MASK,
-                    gpa & !PAGE_MASK,
-                    flags,
-                );
-                ExitCause::Shadow
-            }
-        }
-    }
-
-    fn emulate_mmio(&mut self, trap: Trap, va: u32, gpa: u32, access: Access) {
-        // EXIT_BASE was already charged by the dispatcher.
-        self.consume_monitor(costs::EMUL_DEV_REG);
-        let Some(instr) = self.fetch_guest_instr(trap.epc) else {
-            self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
-            return;
-        };
-        let page = gpa & !(map::DEV_PAGE - 1);
-        let offset = gpa & (map::DEV_PAGE - 1);
-        match (instr, access) {
-            (
-                Instr::Load {
-                    kind: LoadKind::W,
-                    rd,
-                    ..
-                },
-                Access::Load,
-            ) => {
-                let val = match page {
-                    map::HDC_BASE => {
-                        let (v, host) = self.vdisk.read_reg(offset);
-                        self.consume_host(host);
-                        v
-                    }
-                    map::NIC_BASE => self.vnic.read_reg(offset),
-                    map::PIC_BASE if offset >= smp::reg::SEND => self.ipi_mmio_read(offset),
-                    // Tracepoint registers read as zero everywhere; route
-                    // through the machine bus so raw and hosted agree.
-                    map::TRACE_BASE => self
-                        .machine
-                        .bus_read(gpa, MemSize::Word)
-                        .unwrap_or_default(),
-                    _ => self.chipset.mmio_read(&mut self.machine, page, offset),
-                };
-                self.machine.cpu.set_reg(rd, val);
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-            }
-            (
-                Instr::Store {
-                    kind: StoreKind::W,
-                    rs2,
-                    ..
-                },
-                Access::Store,
-            ) => {
-                let val = self.machine.cpu.reg(rs2);
-                if page == map::PIC_BASE && offset == hx_machine::pic::reg::EOI {
-                    // Virtual-interrupt retirement: close the profiler's
-                    // entry→EOI latency window and the causal ISR-service
-                    // flow (the only EOI the causal layer sees — the real
-                    // PIC is retired via a direct device call).
-                    let now = self.machine.now();
-                    self.machine.obs.prof_irq_eoi(now);
-                    self.machine.obs.eoi(now);
-                }
-                match page {
-                    map::HDC_BASE => {
-                        let host = self.vdisk.write_reg(&mut self.machine, offset, val);
-                        self.consume_host(host);
-                    }
-                    map::NIC_BASE => {
-                        let host = self.vnic.write_reg(&mut self.machine, offset, val);
-                        self.consume_host(host);
-                    }
-                    map::PIC_BASE if offset >= smp::reg::SEND => {
-                        self.ipi_mmio_write(offset, val);
-                    }
-                    // Tracepoint store: forward to the machine bus, where
-                    // the causal/journal hooks live, so guest tracepoints
-                    // behave identically on all three platforms.
-                    map::TRACE_BASE => {
-                        let _ = self.machine.bus_write(gpa, val, MemSize::Word);
-                    }
-                    _ => self
-                        .chipset
-                        .mmio_write(&mut self.machine, page, offset, val),
-                }
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-            }
-            _ => {
-                self.inject_guest_trap(access.fault_cause(), trap.epc, va);
-            }
-        }
-        // Attribute the emulation's host time to the device itself; the
-        // trailing `record_exit(Mmio)` then covers only exit bookkeeping.
-        if let Some(dev) = map::dev_of(gpa) {
-            self.machine.obs.host_mark(HostPhase::Device(dev));
-        }
-    }
-
-    /// Emulated reads of the IPI register block on the PIC page.
-    fn ipi_mmio_read(&mut self, offset: u32) -> u32 {
-        match offset {
-            smp::reg::ENTRY => self.machine.ipi_entry(),
-            smp::reg::CORE_ID => self.cur_core as u32,
-            smp::reg::NUM_CORES => self.machine.num_cores() as u32,
-            _ => {
-                self.chipset.bad_accesses += 1;
-                0
-            }
-        }
-    }
-
-    /// Emulated writes to the IPI register block: sends route through the
-    /// machine's own delivery path so virtual and raw IPI timing agree.
-    fn ipi_mmio_write(&mut self, offset: u32, val: u32) {
-        match offset {
-            smp::reg::SEND => {
-                let target = (val & 0xff) as u8;
-                let line = ((val >> 8) & 0xff) as u8;
-                if !self.machine.ipi_send(target, line) {
-                    self.chipset.bad_accesses += 1;
-                }
-            }
-            smp::reg::ENTRY => self.machine.set_ipi_entry(val),
-            _ => self.chipset.bad_accesses += 1,
-        }
-    }
-
-    fn fetch_guest_instr(&mut self, pc: u32) -> Option<Instr> {
-        let gpa = if self.vcpu.paging_enabled() {
-            let root = self.vcpu.page_table_root();
-            match guest_walk(
-                &mut self.machine.mem,
-                root,
-                pc,
-                Access::Fetch,
-                self.vcpu.vmode,
-                self.monitor_base,
-                false,
-            ) {
-                Ok(w) => w.gpa,
-                Err(_) => return None,
-            }
-        } else {
-            pc
-        };
-        let word = self.machine.mem.read(gpa, MemSize::Word).ok()?;
-        Instr::decode(word).ok()
-    }
-
-    fn handle_real_irq(&mut self, irq: u8) {
-        self.machine.pic.eoi(irq);
-        self.consume_monitor(costs::EXIT_BASE);
-        self.record_exit(ExitCause::IrqReflect, costs::EXIT_BASE);
-        self.hstats.exits_irq += 1;
-        match irq {
-            map::irq::PIT => self.chipset.vpic.assert_irq(map::irq::PIT),
-            map::irq::UART => {
-                // No debug stub in the hosted monitor: the host consumes
-                // its own serial traffic.
-                while self.machine.uart.pop_rx().is_some() {}
-            }
-            map::irq::HDC0 | map::irq::HDC1 | map::irq::HDC2 => {
-                let unit = (irq - map::irq::HDC0) as usize;
-                let (done, host) = self.vdisk.on_host_complete(&mut self.machine, unit);
-                self.consume_host(host);
-                if done {
-                    self.chipset.vpic.assert_irq(irq);
-                }
-            }
-            map::irq::NIC_TX => {
-                let (raise, host) = self.vnic.on_host_tx_complete(&mut self.machine);
-                self.consume_host(host);
-                if raise {
-                    self.chipset.vpic.assert_irq(map::irq::NIC_TX);
-                }
-            }
-            map::irq::NIC_RX => {
-                // Host-side receive; nothing to relay in this model (frames
-                // enter via `inject_guest_rx`).
-            }
-            _ => {}
-        }
-        self.maybe_inject_irq();
-    }
-
-    fn step_impl(&mut self, batch: bool) -> PlatformStep {
-        match self.state {
-            RunState::Running => self.guest_step(batch),
-            RunState::GuestIdle => self.guest_idle_step(),
+            core.raise_irq(map::irq::NIC_RX);
         }
     }
 }
 
-impl ExitPolicy for HostedPlatform {
-    fn mach(&self) -> &Machine {
-        &self.machine
+/// The hosted full-VMM platform (see the [module docs](self)).
+#[derive(Debug)]
+pub struct HostedPlatform(MonitorCore<Hosted>);
+
+impl HostedPlatform {
+    /// Installs the hosted monitor and prepares the guest to boot at
+    /// `entry` (image already loaded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if RAM is too small for the host region.
+    pub fn new(machine: Machine, entry: u32) -> HostedPlatform {
+        HostedPlatform(MonitorCore::new(machine, entry))
     }
 
-    fn mach_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+    /// Monitor exit/injection counters.
+    pub fn monitor_stats(&self) -> MonitorStats {
+        self.0.monitor_stats()
     }
 
-    fn time_stats_mut(&mut self) -> &mut TimeStats {
-        &mut self.stats
+    /// Device operations relayed through the modeled host OS.
+    pub fn host_relay_ops(&self) -> u64 {
+        self.0.plat.relay_ops
     }
 
-    fn handle_trap(&mut self, trap: Trap) {
-        self.dispatch_trap(trap);
+    /// The guest's virtual CPU (tests/diagnostics).
+    pub fn vcpu(&self) -> &VCpu {
+        self.0.vcpu()
     }
 
-    fn handle_interrupt(&mut self, irq: u8, _vector: u8) {
-        self.sync_core();
-        if irq >= smp::IRQ_BASE {
-            self.handle_ipi(irq - smp::IRQ_BASE);
-        } else {
-            self.handle_real_irq(irq);
-        }
+    /// Frames the virtual NIC relayed to the wire.
+    pub fn relayed_tx_frames(&self) -> u64 {
+        self.0.plat.vnic.tx_frames
     }
 }
 
 impl Platform for HostedPlatform {
     fn name(&self) -> &'static str {
-        "hosted"
+        self.0.name()
     }
 
     fn inject_rx_frame(&mut self, frame: &[u8]) {
-        self.inject_guest_rx(frame);
+        self.0.inject_rx_frame(frame);
     }
 
     fn machine(&self) -> &Machine {
-        &self.machine
+        self.0.machine()
     }
 
     fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        self.0.machine_mut()
     }
 
     fn time_stats(&self) -> &TimeStats {
-        &self.stats
+        self.0.time_stats()
     }
 
     fn step(&mut self) -> PlatformStep {
-        // The profiler and logpoints need per-instruction PC boundaries.
-        let batch = !self.machine.obs.profiling() && !self.machine.has_logpoints();
-        self.step_impl(batch)
+        self.0.step()
     }
 
     fn step_precise(&mut self) -> PlatformStep {
-        self.step_impl(false)
+        self.0.step_precise()
     }
 }
 
@@ -783,7 +283,7 @@ mod tests {
         let mut expect = vec![0u8; 512];
         hx_machine::disk::fill_expected(0, 3, &mut expect);
         assert_eq!(&vmm.machine().mem.as_bytes()[0x9000..0x9200], &expect[..]);
-        let hs = vmm.hosted_stats();
+        let hs = vmm.monitor_stats();
         assert!(
             hs.exits_mmio > 4,
             "every register access is an exit: {hs:?}"
@@ -901,7 +401,7 @@ mod tests {
         ));
         vmm.run_for(500_000);
         assert_eq!(vmm.machine().cpu.reg(hx_cpu::Reg::R18), 1);
-        vmm.inject_guest_rx(&[7u8; 64]);
+        vmm.inject_rx_frame(&[7u8; 64]);
         assert_eq!(vmm.machine().mem.as_bytes()[0x8000], 7);
         assert_eq!(vmm.machine().mem.word(0x2000 + 8), 64);
     }
@@ -917,7 +417,7 @@ mod tests {
                 ",
             );
             vmm.run_for(50_000);
-            (vmm.machine().now(), *vmm.time_stats(), vmm.hosted_stats())
+            (vmm.machine().now(), *vmm.time_stats(), vmm.monitor_stats())
         };
         assert_eq!(run(), run());
     }

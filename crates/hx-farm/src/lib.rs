@@ -46,12 +46,12 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hitactix::{GuestStats, Workload};
-use hosted_vmm::{HostedConfig, HostedPlatform};
+use hosted_vmm::HostedPlatform;
 use hx_fault::{FaultKind, FaultPlan};
 use hx_machine::{Machine, MachineConfig, Platform, RawPlatform};
 use hx_obs::{Profiler, SymbolMap};
 use hx_query::json::JsonObj;
-use lvmm::{LvmmConfig, LvmmPlatform};
+use lvmm::LvmmPlatform;
 
 /// Which platform a farm guest boots under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,8 +394,8 @@ fn boot_guest(spec: &GuestSpec, record_every: u64) -> Result<Box<dyn Platform>, 
         let ram_size = machine.config().ram_size as u32;
         let wild_limit = match spec.platform {
             FarmPlatform::Raw => ram_size,
-            FarmPlatform::Hosted => ram_size - HostedConfig::default().host_mem,
-            FarmPlatform::Lvmm => ram_size - LvmmConfig::default().monitor_mem,
+            FarmPlatform::Hosted => ram_size - hosted_vmm::HOST_MEM,
+            FarmPlatform::Lvmm => ram_size - lvmm::MONITOR_MEM,
         };
         let mut plan = FaultPlan::new(*seed).wild(ram_size, wild_limit);
         if class != "all" {

@@ -31,6 +31,7 @@ use crate::pic::Hpic;
 use crate::ram::Ram;
 use crate::timing::{self, FRAME_WIRE_OVERHEAD, MIN_FRAME};
 use hx_cpu::{BusFault, MemSize};
+use hx_obs::journal::{fnv1a, FNV_OFFSET};
 use hx_obs::{Dev, Recorder};
 use std::collections::VecDeque;
 use std::fmt;
@@ -103,18 +104,6 @@ pub struct NicCounters {
     /// Rolling FNV-1a checksum over every transmitted payload byte, for
     /// end-to-end integrity checks against the disk pattern.
     pub tx_checksum: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds bytes into a running FNV-1a checksum (used by [`NicCounters`]).
-pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
 }
 
 /// The network-controller state.

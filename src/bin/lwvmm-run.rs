@@ -265,8 +265,8 @@ fn main() -> ExitCode {
         // above their reserved region, raw hardware blocks nothing.
         let wild_limit = match opts.platform.as_str() {
             "raw" | "real-hw" => ram_size,
-            "hosted" => ram_size - lwvmm::hosted::HostedConfig::default().host_mem,
-            _ => ram_size - lwvmm::monitor::LvmmConfig::default().monitor_mem,
+            "hosted" => ram_size - lwvmm::hosted::HOST_MEM,
+            _ => ram_size - lwvmm::monitor::MONITOR_MEM,
         };
         let mut plan = FaultPlan::new(opts.fault_seed).wild(ram_size, wild_limit);
         if spec != "all" {

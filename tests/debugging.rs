@@ -86,6 +86,42 @@ fn single_step_walks_instructions() {
 }
 
 #[test]
+fn single_step_over_emulated_instructions() {
+    // A `csrr` and a virtual-PIC `lw` are completed by the monitor, not the
+    // hardware; a step over either must still stop at the next instruction.
+    let program = hx_asm::assemble(&format!(
+        "start:  li   t0, {pic:#x}
+         lp:     csrr a0, status
+         pic_lw: lw   a1, {imr}(t0)
+                 addi a2, a2, 1
+                 j    lp
+        ",
+        pic = lwvmm::machine::map::PIC_BASE,
+        imr = lwvmm::machine::pic::reg::IMR,
+    ))
+    .unwrap();
+    let mut machine = Machine::new(MachineConfig {
+        ram_size: 8 << 20,
+        ..Default::default()
+    });
+    machine.load_program(&program);
+    let platform = LvmmPlatform::new(machine, program.base());
+    let mut dbg = Debugger::new(UartLink::new(platform));
+    for bp in ["lp", "pic_lw"] {
+        let bp = program.symbols.get(bp).unwrap();
+        dbg.halt().unwrap();
+        dbg.set_breakpoint(bp).unwrap();
+        assert_eq!(
+            dbg.continue_until_stop().unwrap(),
+            StopReason::Breakpoint { pc: bp }
+        );
+        assert_eq!(dbg.step().unwrap(), StopReason::Step { pc: bp + 4 });
+        dbg.clear_breakpoint(bp).unwrap();
+        dbg.resume().unwrap();
+    }
+}
+
+#[test]
 fn watchpoint_fires_on_guest_store() {
     let (mut dbg, program) = counter_session();
     let counter = program.symbols.get("counter").unwrap();

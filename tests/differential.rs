@@ -286,3 +286,61 @@ fn hosted_monitor_is_transparent_on_a_fixed_program() {
     let mem = ho.machine().mem.as_bytes()[DATA_BASE as usize..(DATA_BASE + 4096) as usize].to_vec();
     assert_eq!(mem, raw.2);
 }
+
+/// Guest self single-step is transparent for privileged code: a kernel
+/// that arms `STATUS.TF` takes one step trap after every instruction it
+/// runs with TF set — including the ones a monitor emulates (`csrr`, a
+/// virtual-PIC `lw`, and the `csrc` that disarms TF, which still owes its
+/// step because TF is sampled before the instruction runs).
+#[test]
+fn guest_single_step_is_transparent_on_every_platform() {
+    let program = hx_asm::assemble(&format!(
+        "        .org 0x1000
+         start:  la   t0, handler
+                 csrw tvec, t0
+                 li   t0, {pic:#x}
+                 li   t1, {tf:#x}
+                 csrs status, t1
+                 addi a0, a0, 1
+                 addi a0, a0, 1
+                 lw   a1, {imr}(t0)
+                 csrr a2, status
+                 addi a0, a0, 1
+                 csrc status, t1
+                 addi a0, a0, 1
+         halt:   j    halt
+         handler:
+                 addi s0, s0, 1
+                 tret
+        ",
+        pic = lwvmm::machine::map::PIC_BASE,
+        imr = lwvmm::machine::pic::reg::IMR,
+        tf = hx_cpu::csr::Status::TF,
+    ))
+    .unwrap();
+    let entry = program.symbols.get("start").unwrap();
+    let boot = || {
+        let mut machine = Machine::new(MachineConfig {
+            ram_size: 8 << 20,
+            ..Default::default()
+        });
+        machine.load_program(&program);
+        machine.cpu.set_pc(entry);
+        machine
+    };
+    let platforms: [Box<dyn Platform>; 3] = [
+        Box::new(RawPlatform::new(boot())),
+        Box::new(LvmmPlatform::new(boot(), entry)),
+        Box::new(HostedPlatform::new(boot(), entry)),
+    ];
+    for mut p in platforms {
+        p.run_for(50_000);
+        let cpu = &p.machine().cpu;
+        assert_eq!(
+            (cpu.reg(Reg::R18), cpu.reg(Reg::R4)),
+            (6, 4),
+            "{}: step-handler entries and guest progress",
+            p.name()
+        );
+    }
+}

@@ -18,7 +18,7 @@ use lwvmm::fault::{FaultKind, FaultPlan, LinkFaultConfig};
 use lwvmm::guest::{kernel::layout, GuestStats, Workload};
 use lwvmm::hosted::HostedPlatform;
 use lwvmm::machine::{Machine, MachineConfig, Platform, RawPlatform};
-use lwvmm::monitor::{LvmmConfig, LvmmPlatform, ReplayDriver, UartLink};
+use lwvmm::monitor::{LvmmPlatform, ReplayDriver, UartLink, MONITOR_MEM};
 use lwvmm::obs::Journal;
 
 const PER_MS: u64 = 150_000; // cycles per simulated ms at the default clock
@@ -34,7 +34,7 @@ fn faulty_machine(plan: FaultPlan) -> Machine {
 fn campaign_plan(seed: u64, limit_monitor: bool) -> FaultPlan {
     let ram = MachineConfig::default().ram_size as u32;
     let limit = if limit_monitor {
-        ram - LvmmConfig::default().monitor_mem
+        ram - MONITOR_MEM
     } else {
         ram
     };

@@ -5,7 +5,7 @@
 use lwvmm::guest::apps;
 use lwvmm::hosted::HostedPlatform;
 use lwvmm::machine::{Machine, MachineConfig, Platform, RawPlatform};
-use lwvmm::monitor::{LvmmConfig, LvmmPlatform};
+use lwvmm::monitor::LvmmPlatform;
 
 fn machine_with(program: &hx_asm::Program) -> Machine {
     let mut machine = Machine::new(MachineConfig {
@@ -172,19 +172,4 @@ fn guest_page_tables_pointing_into_monitor_are_rejected() {
     vmm.run_for(1_000_000);
     assert_eq!(vmm.machine().cpu.reg(hx_cpu::Reg::R18), 0);
     assert!(vmm.monitor_stats().protection_violations >= 1);
-}
-
-#[test]
-fn monitor_region_size_is_configurable() {
-    let program = apps::counter_guest();
-    let machine = machine_with(&program);
-    let vmm = LvmmPlatform::with_config(
-        machine,
-        program.base(),
-        LvmmConfig {
-            monitor_mem: 4 << 20,
-            debug_on_unhandled_fault: true,
-        },
-    );
-    assert_eq!(vmm.monitor_base(), (16 << 20) - (4 << 20));
 }

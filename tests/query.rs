@@ -249,3 +249,50 @@ fn query_first_miss_reports_not_found() {
     assert!(matches!(stop, StopReason::TimeTravel { .. }), "{stop:?}");
     dbg.read_registers().unwrap();
 }
+
+/// Logpoints fire on instructions the monitors emulate exactly as on raw
+/// hardware: a `csrr` (privileged-instruction emulation) and a virtual-PIC
+/// `lw` (device-register emulation), each armed in a 10-iteration loop,
+/// hit 20 times on every platform.
+#[test]
+fn logpoints_fire_on_emulated_instructions() {
+    let program = hx_asm::assemble(&format!(
+        "start:  li   t0, {pic:#x}
+                 li   t2, 10
+         lp_csr: csrr a0, status
+         lp_lw:  lw   a1, {imr}(t0)
+                 addi t2, t2, -1
+                 bnez t2, lp_csr
+         halt:   j    halt
+        ",
+        pic = lwvmm::machine::map::PIC_BASE,
+        imr = lwvmm::machine::pic::reg::IMR,
+    ))
+    .unwrap();
+    let boot = || {
+        let mut machine = Machine::new(MachineConfig::default());
+        machine.load_program(&program);
+        machine
+    };
+    let entry = program.base();
+    let platforms: [Box<dyn Platform>; 3] = [
+        Box::new(RawPlatform::new(boot())),
+        Box::new(LvmmPlatform::new(boot(), entry)),
+        Box::new(HostedPlatform::new(boot(), entry)),
+    ];
+    for mut p in platforms {
+        let name = p.name();
+        p.machine_mut().obs.enable_journal(name);
+        for label in ["lp_csr", "lp_lw"] {
+            let addr = program.symbols.get(label).unwrap();
+            p.machine_mut().add_logpoint(addr, label, None);
+        }
+        p.run_for(50_000);
+        let hits = sealed_journal(p.as_ref())
+            .events
+            .iter()
+            .filter(|e| matches!(e.ev, lwvmm::obs::JournalEvent::Log { .. }))
+            .count();
+        assert_eq!(hits, 20, "{name}: logpoint hits");
+    }
+}

@@ -88,7 +88,7 @@ fn rx_reaches_guest_under_lvmm_passthrough() {
 fn rx_reaches_guest_under_hosted_relay() {
     let mut vmm = HostedPlatform::new(machine(), 0x1000);
     vmm.run_for(2_000_000); // every ring write is an exit; give it time
-    vmm.inject_guest_rx(&[0x7e; 128]);
+    vmm.inject_rx_frame(&[0x7e; 128]);
     vmm.run_for(2_000_000);
     assert_eq!(vmm.machine().cpu.reg(hx_cpu::Reg::R20), 1, "RX handler ran");
     assert_eq!(vmm.machine().cpu.reg(hx_cpu::Reg::R19), 0x7e);

@@ -7,6 +7,7 @@ use lwvmm::guest::{kernel::layout, verify, GuestStats, Workload};
 use lwvmm::hosted::HostedPlatform;
 use lwvmm::machine::{Machine, MachineConfig, Platform, RawPlatform};
 use lwvmm::monitor::LvmmPlatform;
+use lwvmm::obs::journal::{fnv1a, FNV_OFFSET};
 
 fn boot(rate: u64) -> (Machine, u64) {
     let mut machine = Machine::new(MachineConfig::default());
@@ -62,10 +63,10 @@ fn hosted_stream_is_correct() {
     let mut vmm = HostedPlatform::new(machine, layout::ENTRY);
     let stats = run_and_verify(&mut vmm, clock, 40);
     assert!(stats.frames > 30, "{stats:?}");
-    let hs = vmm.hosted_stats();
+    let hs = vmm.monitor_stats();
     assert!(hs.exits_mmio > 200, "every device access must exit: {hs:?}");
     assert!(
-        hs.host_relay_ops > 30,
+        vmm.host_relay_ops() > 30,
         "data must go through the host model"
     );
 }
@@ -80,9 +81,9 @@ fn nic_checksum_counter_matches_capture() {
     hw.machine_mut().nic.set_capture(true);
     hw.run_for(clock / 50);
     let frames = hw.machine_mut().nic.take_captured();
-    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut fnv = FNV_OFFSET;
     for f in &frames {
-        fnv = lwvmm::machine::nic::fnv1a(fnv, f);
+        fnv = fnv1a(fnv, f);
     }
     assert_eq!(hw.machine().nic.counters().tx_checksum, fnv);
 }
